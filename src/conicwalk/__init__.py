@@ -72,6 +72,7 @@ from .walk_analysis import (
     kernel,
     kernel_for_step,
     max_tv_curve,
+    minorization_check,
     minorization_constant,
     minorization_reference,
     mixing_report,

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import click
 
@@ -24,8 +25,7 @@ from .hypergroup import build_table, oracle_table, verify_axioms
 from .walk_analysis import (
     haar,
     kernel_for_step,
-    minorization_constant,
-    minorization_reference,
+    minorization_check,
     mixing_report,
     stationary,
 )
@@ -67,8 +67,17 @@ def _field(cfg: RunConfig) -> FieldSpec:
         raise ConfigError(str(e)) from e
 
 
+def _check_element(name: str, v: int, q: int) -> None:
+    if not 0 <= v < q:
+        raise ConfigError(f"{name} = {v} is out of range: need 0 <= {name} < q = {q}")
+
+
 def _params(cfg: RunConfig) -> ConicParams:
     spec = _field(cfg)
+    for name in ("a", "b", "c"):
+        v = getattr(cfg, name)
+        if v is not None:
+            _check_element(f"--{name}", v, spec.q)
     try:
         return ConicParams(spec, cfg.a, cfg.b, cfg.c)
     except (ValueError, ConicwalkError) as e:
@@ -81,9 +90,11 @@ def _parse_class(label: str, params: ConicParams) -> ClassIndex:
             raise ConfigError("no isotropic class for q = 3 (mod 4)")
         return ClassIndex.isotropic(params.spec)
     try:
-        return ClassIndex.finite(params.spec.element(int(label)))
+        v = int(label)
     except ValueError as e:
         raise ConfigError(f"invalid class label {label!r}: {e}") from e
+    _check_element("class", v, params.q)
+    return ClassIndex.finite(params.spec.element(v))
 
 
 def _fmt_float(x: float) -> str:
@@ -256,7 +267,7 @@ def stationary_cmd(p, d, a, b, c, out, s, method):
               help="TV threshold (default 1/(2e))")
 def mixing(p, d, a, b, c, out, s, eps):
     """Measured mixing time, proven bound, and the worst-start TV curve."""
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ConfigError("eps must be positive")
     cfg = RunConfig(command="mixing", p=p, d=d, a=a, b=b, c=c, s=s, eps=eps)
     params = _params(cfg)
@@ -274,32 +285,18 @@ def mixing(p, d, a, b, c, out, s, eps):
               help="kernel power (default 4 for q=3 mod 4, 6 for q=1 mod 4)")
 def minorize(p, d, a, b, c, out, s, m):
     """Minimum of K^m / pi against the proven minorization constant."""
+    if m is not None and m < 1:
+        raise ConfigError("--steps must be >= 1")
     cfg = RunConfig(command="minorize", p=p, d=d, a=a, b=b, c=c, s=s,
                     extra={"steps": m})
     params = _params(cfg)
     k = kernel_for_step(params, _parse_class(cfg.s, params))
-    ref_m, ref_c = minorization_reference(k.q, k.branch)
-    if m is None:
-        m = ref_m
-    exact, measured = minorization_constant(k, haar(params), m)
-    applicable = m == ref_m and (k.branch == 3 or k.q >= 13)
-    ok = True
-    if applicable:
-        ok = exact >= ref_c if exact is not None else measured >= float(ref_c) - 1e-12
-    _emit_json({
-        "minorization": {
-            "m": m,
-            "measured": measured,
-            "measured_exact": f"{exact.numerator}/{exact.denominator}" if exact else None,
-            "reference_m": ref_m,
-            "reference": f"{ref_c.numerator}/{ref_c.denominator}",
-            "reference_applicable": applicable,
-            "ok": ok,
-        }
-    }, cfg, out)
-    _note(f"minorization q={k.q} m={m}: min K^m/pi = {measured:.6g} "
-          f"(reference {float(ref_c):.6g} at m={ref_m})")
-    if not ok:
+    verdict = minorization_check(k, haar(params), m)
+    _emit_json({"minorization": verdict}, cfg, out)
+    ref = float(Fraction(verdict["reference"]))
+    _note(f"minorization q={k.q} m={verdict['m']}: min K^m/pi = {verdict['measured']:.6g} "
+          f"(reference {ref:.6g} at m={verdict['reference_m']})")
+    if not verdict["ok"]:
         raise SystemExit(2)
 
 
@@ -313,6 +310,8 @@ def minorize(p, d, a, b, c, out, s, m):
               help="coalescence histogram CSV path")
 def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
     """Coupled-walk simulation: coalescence times and empirical tail."""
+    if trials < 1:
+        raise ConfigError("--trials must be >= 1")
     cfg = RunConfig(command="couple", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "start": start})
     params = _params(cfg)
@@ -339,6 +338,8 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
 @click.option("--seed", type=int, default=42, show_default=True)
 def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
+    if trials < 1000:
+        raise ConfigError("--trials must be >= 1000")
     cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "t": t, "start": start})
     params = _params(cfg)
@@ -363,7 +364,7 @@ def scan(qmin, qmax, branch, eps, out):
                     extra={"qmin": qmin, "qmax": qmax, "branch": branch})
     if qmin < 3 or qmax < qmin:
         raise ConfigError("need 3 <= qmin <= qmax")
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ConfigError("eps must be positive")
     sink = open(out, "w") if out else sys.stdout
     try:

@@ -243,10 +243,7 @@ def intersection_count(
     are at quadrance k, by the discriminant trichotomy (0 / 1 / 2)."""
     if not (i and j and k):
         raise ZeroQuadranceArg("intersection counts require i, j, k all nonzero")
-    chi = quadratic_character(f_discriminant(i, j, k))
-    if chi == 0:
-        return 1
-    return 2 if chi == 1 else 0
+    return quadratic_character(f_discriminant(i, j, k)) + 1
 
 
 def circle_csv_rows(i: ClassIndex, params: ConicParams, cap: int = ORACLE_CAP):
@@ -312,29 +309,35 @@ def origin_quadrance_values(params: ConicParams) -> np.ndarray:
     return add[mul[a, mul[xs, xs]], mul[b, mul[ys, ys]]]
 
 
-def predicted_intersection_table(params: ConicParams) -> np.ndarray:
-    """(q, q, q) int8 array of predicted counts for i, j, k all nonzero.
-
-    Entries with any zero argument are set to -1 (outside the hypotheses).
-    """
-    spec = params.spec
+def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
+    """Quadratic character of f(i, j, k) over broadcast arrays of element
+    indices, as int64: the vectorised form of
+    ``quadratic_character(f_discriminant(i, j, k))``."""
     q = spec.q
-    idx = np.arange(q)
-    i = idx[:, None, None]
-    j = idx[None, :, None]
-    k = idx[None, None, :]
-    inv4 = spec.inv_idx(spec.add_idx(spec.add_idx(1, 1), spec.add_idx(1, 1)))
+    inv4 = _inv4_idx(spec)
     if spec.d == 1:
         s = (i + j - k) % q
         f = (i * j - s * s * inv4) % q
     else:
         add = spec.add_table()
         mul = spec.mul_table()
-        neg = np.array([spec.neg_idx(t) for t in range(q)])
+        neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
         s = add[add[i, j], neg[k]]
         f = add[mul[i, j], neg[mul[mul[s, s], inv4]]]
-    chi = spec.chi_table()[f]
-    pred = np.where(chi == 0, 1, np.where(chi == 1, 2, 0)).astype(np.int8)
+    # chi_table is int8; callers scale the character by q +- 1
+    return spec.chi_table()[f].astype(np.int64)
+
+
+def predicted_intersection_table(params: ConicParams) -> np.ndarray:
+    """(q, q, q) int8 array of predicted counts for i, j, k all nonzero.
+
+    Entries with any zero argument are set to -1 (outside the hypotheses).
+    """
+    idx = np.arange(params.q)
+    chi = discriminant_character(
+        params.spec, idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    )
+    pred = (chi + 1).astype(np.int8)
     pred[0, :, :] = -1
     pred[:, 0, :] = -1
     pred[:, :, 0] = -1

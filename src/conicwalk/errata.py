@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .conic_geometry import ConicParams, class_size, index_set
+from .conic_geometry import ConicParams, _inv4_idx, index_set
 from .finite_field import FieldElement
 
 
@@ -67,9 +67,7 @@ def published_f_discriminant(
     """The stated, non-symmetric discriminant i*j - (i - j - k)^2 / 4."""
     spec = i.spec
     s = i - j - k
-    two = spec.add_idx(1, 1)
-    inv4 = spec.inv_idx(spec.add_idx(two, two))
-    return i * j - (s * s) * FieldElement(spec, inv4)
+    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec))
 
 
 def published_six_step_reference(params: ConicParams) -> list[Fraction]:
@@ -84,12 +82,6 @@ def published_six_step_reference(params: ConicParams) -> list[Fraction]:
         else:
             out.append(Fraction(q + 1, q * q))
     return out
-
-
-def corrected_reference(params: ConicParams) -> list[Fraction]:
-    """Class sizes over q^2 (the distribution the package actually uses)."""
-    q2 = params.q ** 2
-    return [Fraction(class_size(c, params), q2) for c in index_set(params)]
 
 
 def errata_report(fresh_mismatches: list[dict] | None = None) -> dict:

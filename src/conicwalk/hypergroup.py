@@ -6,6 +6,13 @@ make the classes a hermitian commutative hypergroup.  This module provides
 the closed-form constants, a brute-force enumeration oracle that counts all
 q^4 translation pairs, and the axiom checker.
 
+Both sources produce the same single representation: the int64 count array
+C[i,j,k] = n[i,j,k] * N_i * N_j (the number of translation pairs of class i
+by class j landing in class k) together with the class sizes N.  Every other
+view -- floats, ``Fraction`` values, CSV, JSON, axiom and equality checks --
+is derived from those integers, so exactness never depends on rational
+arithmetic in the hot path.
+
 For q = 1 (mod 4) the closed form follows the enumeration oracle where the
 commonly stated case analysis is wrong: the row of (isotropic, j) is uniform
 over the q-1 classes (F_q^* with j replaced by the isotropic class), not
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,41 +33,48 @@ from .conic_geometry import (
     ConicParams,
     ORACLE_CAP,
     class_size,
-    f_discriminant,
+    discriminant_character,
     index_set,
 )
 from .errors import CapExceeded, IndexInvalid
-from .finite_field import quadratic_character
 
 
 class StructureTable:
-    """Dense table of exact structure constants n[i,j,k] plus class sizes."""
+    """Dense table of structure constants, stored as the int64 count array
+    ``counts[i, j, k] = n[i,j,k] * N_i * N_j`` plus the class sizes N."""
 
     def __init__(
         self,
         params: ConicParams,
         classes: list[ClassIndex],
         sizes: list[int],
-        entries: list[list[list[Fraction]]],
+        counts: np.ndarray,
         source: str,
         split: bool = True,
         validate: bool = True,
     ):
         self.params = params
         self.classes = list(classes)
-        self.sizes = list(sizes)
-        self.entries = entries
+        self.sizes = [int(s) for s in sizes]  # plain ints: json.dumps rejects np.int64
+        self.counts = np.asarray(counts, dtype=np.int64)
         self.source = source
         self.split = split
         self._pos = {c: t for t, c in enumerate(self.classes)}
+        # N_i * N_j: the denominator of every n[i, j, k]
+        self.pair_sizes = np.outer(self.sizes, self.sizes)
         if validate:
-            one = Fraction(1)
-            for i, plane in enumerate(entries):
-                for j, row in enumerate(plane):
-                    if any(v < 0 for v in row):
-                        raise ValueError(f"negative entry in row ({i},{j})")
-                    if sum(row) != one:
-                        raise ValueError(f"row ({i},{j}) sums to {sum(row)} != 1")
+            negative = np.argwhere((self.counts < 0).any(axis=2))
+            if len(negative):
+                i, j = negative[0]
+                raise ValueError(f"negative entry in row ({i},{j})")
+            sums = self.counts.sum(axis=2)
+            unnormalized = np.argwhere(sums != self.pair_sizes)
+            if len(unnormalized):
+                i, j = unnormalized[0]
+                raise ValueError(f"row ({i},{j}) sums to {self._ratio(sums, i, j)} != 1")
+
+    def _ratio(self, numerators: np.ndarray, i: int, j: int, *k: int) -> Fraction:
+        return Fraction(int(numerators[(i, j, *k)]), int(self.pair_sizes[i, j]))
 
     @property
     def size(self) -> int:
@@ -72,10 +87,20 @@ class StructureTable:
             raise IndexInvalid(f"{c!r} is not in this table's index set") from None
 
     def n(self, i: ClassIndex, j: ClassIndex, k: ClassIndex) -> Fraction:
-        return self.entries[self.position(i)][self.position(j)][self.position(k)]
+        return self._ratio(self.counts, self.position(i), self.position(j), self.position(k))
 
     def row(self, i: ClassIndex, j: ClassIndex) -> list[Fraction]:
-        return self.entries[self.position(i)][self.position(j)]
+        pi, pj = self.position(i), self.position(j)
+        den = int(self.pair_sizes[pi, pj])
+        return [Fraction(c, den) for c in self.counts[pi, pj].tolist()]
+
+    @cached_property
+    def entries(self) -> list[list[list[Fraction]]]:
+        """Nested ``Fraction`` view entries[i][j][k] = n[i,j,k]."""
+        return [
+            [[Fraction(c, den) for c in row] for row, den in zip(plane, dens)]
+            for plane, dens in zip(self.counts.tolist(), self.pair_sizes.tolist())
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTable):
@@ -83,50 +108,45 @@ class StructureTable:
         return (
             self.classes == other.classes
             and self.sizes == other.sizes
-            and self.entries == other.entries
+            and np.array_equal(self.counts, other.counts)
         )
 
     def mismatches(self, other: "StructureTable", limit: int = 50) -> list[dict]:
         """Entry-level differences against another table on the same index set."""
         if self.classes != other.classes:
             raise IndexInvalid("tables have different index sets")
-        out = []
-        for i, ci in enumerate(self.classes):
-            for j, cj in enumerate(self.classes):
-                for k, ck in enumerate(self.classes):
-                    a = self.entries[i][j][k]
-                    b = other.entries[i][j][k]
-                    if a != b:
-                        out.append(
-                            {
-                                "i": ci.label(),
-                                "j": cj.label(),
-                                "k": ck.label(),
-                                self.source: str(a),
-                                other.source: str(b),
-                            }
-                        )
-                        if len(out) >= limit:
-                            return out
-        return out
+        # n = C / (N_i N_j) on both sides, compared by cross-multiplying
+        differ = (self.counts * other.pair_sizes[:, :, None]
+                  != other.counts * self.pair_sizes[:, :, None])
+        labels = [c.label() for c in self.classes]
+        return [
+            {
+                "i": labels[i],
+                "j": labels[j],
+                "k": labels[k],
+                self.source: str(self._ratio(self.counts, i, j, k)),
+                other.source: str(other._ratio(other.counts, i, j, k)),
+            }
+            for i, j, k in np.argwhere(differ)[:limit].tolist()
+        ]
+
+    def _reduced(self) -> tuple[list, list]:
+        """(numerators, denominators) of every n[i,j,k] in lowest terms, nested lists."""
+        den = np.broadcast_to(self.pair_sizes[:, :, None], self.counts.shape)
+        g = np.gcd(self.counts, den)
+        return (self.counts // g).tolist(), (den // g).tolist()
 
     def to_csv_rows(self):
         """Rows (i, j, k, num, den, N_i, N_j) in canonical order."""
-        for i, ci in enumerate(self.classes):
-            for j, cj in enumerate(self.classes):
-                for k, ck in enumerate(self.classes):
-                    v = self.entries[i][j][k]
-                    yield (
-                        ci.label(),
-                        cj.label(),
-                        ck.label(),
-                        v.numerator,
-                        v.denominator,
-                        self.sizes[i],
-                        self.sizes[j],
-                    )
+        labels = [c.label() for c in self.classes]
+        nums, dens = self._reduced()
+        for i, li in enumerate(labels):
+            for j, lj in enumerate(labels):
+                for lk, num, den in zip(labels, nums[i][j], dens[i][j]):
+                    yield (li, lj, lk, num, den, self.sizes[i], self.sizes[j])
 
     def to_json_dict(self) -> dict:
+        nums, dens = self._reduced()
         return {
             "params": self.params.to_json(),
             "source": self.source,
@@ -134,8 +154,8 @@ class StructureTable:
             "classes": [c.label() for c in self.classes],
             "sizes": self.sizes,
             "rows": [
-                [[f"{v.numerator}/{v.denominator}" for v in row] for row in plane]
-                for plane in self.entries
+                [[f"{a}/{b}" for a, b in zip(nr, dr)] for nr, dr in zip(nplane, dplane)]
+                for nplane, dplane in zip(nums, dens)
             ],
         }
 
@@ -186,80 +206,50 @@ def oracle_table(
     counts = counts.reshape(n_classes, n_classes, n_classes)
 
     sizes = np.bincount(cls, minlength=n_classes)
-    entries = [
-        [
-            [Fraction(int(counts[i, j, k]), int(sizes[i] * sizes[j])) for k in range(n_classes)]
-            for j in range(n_classes)
-        ]
-        for i in range(n_classes)
-    ]
-    return StructureTable(params, classes, [int(s) for s in sizes], entries, "oracle", split)
+    return StructureTable(params, classes, sizes, counts, "oracle", split)
 
 
 # ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
 
-def _trichotomy(params: ConicParams, i, j, k, den: int) -> Fraction:
-    chi = quadratic_character(f_discriminant(i, j, k))
-    if chi == 1:
-        return Fraction(2, den)
-    if chi == 0:
-        return Fraction(1, den)
-    return Fraction(0)
-
-
 def closed_row(
     params: ConicParams,
     ci: ClassIndex,
     cj: ClassIndex,
     published_isotropic_row: bool = False,
-) -> list[Fraction]:
-    """The closed-form row over k of n[ci, cj, k], in canonical class order."""
+) -> np.ndarray:
+    """The closed-form count row C[ci, cj, k] = n[ci, cj, k] * N_ci * N_cj
+    over k (int64, canonical class order)."""
     q = params.q
-    spec = params.spec
-    classes = index_set(params)
-    zero_f = Fraction(0)
-
-    def delta(target: ClassIndex) -> list[Fraction]:
-        return [Fraction(1) if c == target else zero_f for c in classes]
-
-    if ci.is_zero:
-        return delta(cj)
-    if cj.is_zero:
-        return delta(ci)
-
-    if params.branch == 3:
-        den = q + 1
-        i, j = ci.value, cj.value
-        return [_trichotomy(params, i, j, ck.value, den) for ck in classes]
-
-    den = q - 1
-    if ci.is_isotropic and cj.is_isotropic:
-        return [Fraction(1, 2 * den)] * q + [Fraction(q - 2, 2 * den)]
-    if ci.is_isotropic or cj.is_isotropic:
-        j = cj.value if ci.is_isotropic else ci.value
-        row = []
-        for ck in classes:
-            if ck.is_isotropic:
-                row.append(Fraction(1, den))
-            elif ck.value == j:
-                row.append(zero_f)
-            elif ck.is_zero:
-                # the stated variant puts mass here; the enumeration says none
-                row.append(Fraction(1, den) if published_isotropic_row else zero_f)
-            else:
-                row.append(Fraction(1, den))
+    row = np.zeros(q + params.split, dtype=np.int64)
+    if ci.is_zero or cj.is_zero:
+        other = cj if ci.is_zero else ci
+        row[q if other.is_isotropic else other.value.idx] = class_size(other, params)
         return row
-    i, j = ci.value, cj.value
-    row = []
-    for ck in classes:
-        if ck.is_isotropic:
-            row.append(zero_f if i == j else Fraction(2, den))
-        elif ck.is_zero:
-            row.append(Fraction(1, den) if i == j else zero_f)
-        else:
-            row.append(_trichotomy(params, i, j, ck.value, den))
+
+    ks = np.arange(q)
+    if params.branch == 3:
+        # n = (1 + chi(f)) / (q + 1) with N_i = N_j = q + 1, zero class included
+        return (discriminant_character(params.spec, ci.value.idx, cj.value.idx, ks) + 1) * (q + 1)
+
+    w = q - 1  # size of every nonzero finite class
+    if ci.is_isotropic and cj.is_isotropic:
+        # n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
+        row[:q] = 2 * w
+        row[q] = 2 * (q - 2) * w
+        return row
+    if ci.is_isotropic or cj.is_isotropic:
+        j = (cj if ci.is_isotropic else ci).value.idx
+        row[:] = 2 * w  # n = 1/w
+        row[j] = 0
+        # the stated variant puts mass on the zero class; the enumeration says none
+        row[0] = 2 * w if published_isotropic_row else 0
+        return row
+    i, j = ci.value.idx, cj.value.idx
+    row[:q] = (discriminant_character(params.spec, i, j, ks) + 1) * w
+    row[0] = w if i == j else 0
+    row[q] = 0 if i == j else 2 * w
     return row
 
 
@@ -274,9 +264,9 @@ def structure_constant(
     classes = index_set(params)
     for c in (i, j, k):
         if c not in classes:
-            raise IndexInvalid(f"{c!r} is not a class index over {params.spec!r}")
+            raise IndexInvalid(f"{c!r} is not a class over {params.spec!r}")
     row = closed_row(params, i, j, published_isotropic_row=published_isotropic_row)
-    return row[classes.index(k)]
+    return Fraction(int(row[classes.index(k)]), class_size(i, params) * class_size(j, params))
 
 
 def build_table(
@@ -295,12 +285,12 @@ def build_table(
         raise ValueError("no closed form for the unsplit diagnostic; use the oracle")
     classes = index_set(params)
     sizes = [class_size(c, params) for c in classes]
-    entries = [
-        [closed_row(params, ci, cj, published_isotropic_row) for cj in classes]
-        for ci in classes
-    ]
+    counts = np.array(
+        [[closed_row(params, ci, cj, published_isotropic_row) for cj in classes]
+         for ci in classes]
+    )
     return StructureTable(
-        params, classes, sizes, entries, "closed-form", split=True,
+        params, classes, sizes, counts, "closed-form", split=True,
         validate=not published_isotropic_row,
     )
 
@@ -345,54 +335,38 @@ class AxiomReport:
 def verify_axioms(table: StructureTable, max_violations: int = 20) -> AxiomReport:
     """Check positivity, exact normalization, hermitian support at the
     identity (n[i,j,0] > 0 iff i = j), commutativity, and the identity row."""
+    counts, den = table.counts, table.pair_sizes
+    labels = [c.label() for c in table.classes]
+    zero = next(t for t, c in enumerate(table.classes) if c.is_zero)
+    eye = np.eye(table.size, dtype=np.int64)
+    sums = counts.sum(axis=2)
+    # each axiom: violation mask, and the report item of one violating index
+    checks = {
+        "positivity": ((counts < 0).any(axis=2), lambda i, j: (labels[i], labels[j])),
+        "normalization": (
+            sums != den,
+            lambda i, j: (labels[i], labels[j], str(table._ratio(sums, i, j))),
+        ),
+        "hermitian_support": (
+            (counts[:, :, zero] > 0) != eye.astype(bool),
+            lambda i, j: (labels[i], labels[j], str(table._ratio(counts, i, j, zero))),
+        ),
+        "commutativity": (
+            counts != counts.transpose(1, 0, 2),
+            lambda i, j, k: (labels[i], labels[j], labels[k]),
+        ),
+        # n[0, j, k] = delta_jk
+        "identity_row": (
+            (counts[zero] != eye * den[zero][:, None]).any(axis=1),
+            lambda j: (labels[j],),
+        ),
+    }
     report = AxiomReport()
-    classes = table.classes
-    m = len(classes)
-    entries = table.entries
-    viol: dict[str, list] = {}
-
-    def record(axiom: str, item) -> None:
-        viol.setdefault(axiom, [])
-        if len(viol[axiom]) < max_violations:
-            viol[axiom].append(item)
-
-    zero_pos = next(
-        t for t, c in enumerate(classes) if not c.is_isotropic and c.value.idx == 0
-    )
-    one = Fraction(1)
-    for i in range(m):
-        for j in range(m):
-            row = entries[i][j]
-            if any(v < 0 for v in row):
-                report.positivity = False
-                record("positivity", (classes[i].label(), classes[j].label()))
-            if sum(row) != one:
-                report.normalization = False
-                record(
-                    "normalization",
-                    (classes[i].label(), classes[j].label(), str(sum(row))),
-                )
-            support_at_zero = row[zero_pos] > 0
-            if support_at_zero != (i == j):
-                report.hermitian_support = False
-                record(
-                    "hermitian_support",
-                    (classes[i].label(), classes[j].label(), str(row[zero_pos])),
-                )
-            for k in range(m):
-                if entries[i][j][k] != entries[j][i][k]:
-                    report.commutativity = False
-                    record(
-                        "commutativity",
-                        (classes[i].label(), classes[j].label(), classes[k].label()),
-                    )
-    for j in range(m):
-        row = entries[zero_pos][j]
-        expected = [one if k == j else Fraction(0) for k in range(m)]
-        if row != expected:
-            report.identity_row = False
-            record("identity_row", (classes[j].label(),))
-    report.violations = viol
+    for axiom, (mask, item) in checks.items():
+        setattr(report, axiom, not mask.any())
+        hits = np.argwhere(mask)[:max_violations].tolist()
+        if hits:
+            report.violations[axiom] = [item(*hit) for hit in hits]
     return report
 
 
@@ -402,9 +376,8 @@ def two_step_support(
     """A class k with n[i,step,k] > 0 and n[k,step,j] > 0, or None."""
     if step is None:
         step = ClassIndex.finite(table.params.spec.one)
-    row_i = table.row(i, step)
-    jpos = table.position(j)
-    for t, mass in enumerate(row_i):
-        if mass > 0 and table.entries[t][table.position(step)][jpos] > 0:
-            return table.classes[t]
-    return None
+    s = table.position(step)
+    via = np.flatnonzero(
+        (table.counts[table.position(i), s] > 0) & (table.counts[:, s, table.position(j)] > 0)
+    )
+    return table.classes[via[0]] if via.size else None

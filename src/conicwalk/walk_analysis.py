@@ -1,10 +1,15 @@
 """Random walk driven by a fixed class: kernel, stationarity, mixing.
 
-The kernel K(i, j) = n[i, s, j] is kept both as exact rationals and as
-float64.  Exact arithmetic is used for stationarity/minorization statements
-at desk scale; kernel powers beyond the exact caps run in float64 with
-explicit tolerances (mixing times here are O(q) steps, so accumulated error
-stays far below them).
+The kernel K(i, j) = n[i, s, j] is stored as the int64 count slice
+C[:, s, :] of the structure-constant counts plus the class sizes N, so
+K(i, j) = C[i, s, j] / (N_i N_s).  The float64 matrix and the ``Fraction``
+view are derived from those integers.  Exact statements use integer
+arithmetic: stationarity of the class-size law is the count identity
+sum_i C[i, s, j] = N_s N_j, and exact kernel powers are integer matrix
+powers over one common denominator, within the desk-scale caps below.
+Kernel powers beyond the caps run in float64 with explicit tolerances
+(mixing times here are O(q) steps, so accumulated error stays far below
+them).
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .conic_geometry import ClassIndex, ConicParams, class_size, index_set
+from .conic_geometry import ClassIndex, ConicParams, class_size, index_set, intersection_count
 from .errors import (
     BranchMismatch,
     IndexInvalid,
@@ -26,31 +32,43 @@ from .errors import (
 )
 from .hypergroup import StructureTable, closed_row
 
-EXACT_SIZE_CAP = 32   # largest index-set size for exact rational solves
+EXACT_SIZE_CAP = 32   # largest index-set size for exact statements
 EXACT_POWER_CAP = 8   # largest exact kernel power
 STATIONARY_TOL = 1e-13
 DECAY_SLACK = 1e-10
 MONOTONE_SLACK = 1e-12
 
 
+def _exact_within_caps(size: int, m: int = 0) -> bool:
+    """Whether exact results are produced for this index-set size and power."""
+    return size <= EXACT_SIZE_CAP and m <= EXACT_POWER_CAP
+
+
 class Kernel:
-    """Row-stochastic matrix of the class walk with step class ``step``."""
+    """Row-stochastic matrix of the class walk with step class ``step``,
+    stored as counts[i, j] = C[i, step, j] plus the class sizes."""
 
     def __init__(self, params: ConicParams, classes: list[ClassIndex],
-                 step: ClassIndex, rows: list[list[Fraction]]):
+                 step: ClassIndex, counts: np.ndarray, sizes):
         self.params = params
         self.classes = list(classes)
         self.step = step
-        self.rat = [list(r) for r in rows]
-        one = Fraction(1)
-        for t, row in enumerate(self.rat):
-            if sum(row) != one:
-                raise ValueError(f"kernel row {t} sums to {sum(row)} != 1")
-        self.mat = np.array([[float(v) for v in row] for row in self.rat])
+        self._pos = {c: t for t, c in enumerate(self.classes)}
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        # N_i * N_step: the denominator of row i
+        self.row_sizes = self.sizes * self.sizes[self.position(step)]
+        sums = self.counts.sum(axis=1)
+        bad = np.flatnonzero(sums != self.row_sizes)
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"kernel row {t} sums to "
+                             f"{Fraction(int(sums[t]), int(self.row_sizes[t]))} != 1")
+        # int64 / int64 is one correctly rounded division: equals float(Fraction)
+        self.mat = self.counts / self.row_sizes[:, None]
         err = np.abs(self.mat.sum(axis=1) - 1.0).max()
         if err > 1e-15:
             raise ValueError(f"float kernel row sum off by {err}")
-        self._pos = {c: t for t, c in enumerate(self.classes)}
 
     @property
     def size(self) -> int:
@@ -70,18 +88,23 @@ class Kernel:
         except KeyError:
             raise IndexInvalid(f"{c!r} not in kernel index set") from None
 
+    @cached_property
+    def rat(self) -> list[list[Fraction]]:
+        """``Fraction`` view rat[i][j] = K(i, j)."""
+        return [[Fraction(c, den) for c in row]
+                for row, den in zip(self.counts.tolist(), self.row_sizes.tolist())]
+
     def rational_power(self, m: int) -> list[list[Fraction]]:
-        if m > EXACT_POWER_CAP or self.size > EXACT_SIZE_CAP:
+        """K^m exactly, as an integer matrix power over one common denominator."""
+        if not _exact_within_caps(self.size, m):
             raise ValueError(f"exact power capped at m <= {EXACT_POWER_CAP}, "
                              f"size <= {EXACT_SIZE_CAP}")
-        n = self.size
-        out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        den = math.lcm(*self.row_sizes.tolist())
+        scaled = (self.counts * (den // self.row_sizes)[:, None]).astype(object)
+        power = np.eye(self.size, dtype=object)
         for _ in range(m):
-            out = [
-                [sum(out[i][t] * self.rat[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        return out
+            power = power @ scaled
+        return [[Fraction(v, den ** m) for v in row] for row in power.tolist()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,20 +160,27 @@ class Distribution:
 
 def kernel(table: StructureTable, s: ClassIndex) -> Kernel:
     """K(i, j) = n[i, s, j] from a materialized table."""
-    table.position(s)
-    rows = [table.row(ci, s) for ci in table.classes]
-    return Kernel(table.params, table.classes, s, rows)
+    return Kernel(table.params, table.classes, s,
+                  table.counts[:, table.position(s), :], table.sizes)
 
 
 def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
-    """Kernel straight from the closed form; avoids building the q^3 table."""
+    """Kernel straight from the closed form, row by row: O(q^2) memory, never
+    the q^3 table."""
     if s is None:
         s = ClassIndex.finite(params.spec.one)
     classes = index_set(params)
     if s not in classes:
         raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
-    rows = [closed_row(params, ci, s) for ci in classes]
-    return Kernel(params, classes, s, rows)
+    counts = np.stack([closed_row(params, ci, s) for ci in classes])
+    if not (s.is_zero or s.is_isotropic):
+        # certify the vectorised closed form against the scalar trichotomy on the
+        # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
+        v, row = s.value, counts[classes.index(s), 1:params.q]
+        meets = [intersection_count(v, v, k, params) for k in params.spec.elements()[1:]]
+        if not np.array_equal(row, class_size(s, params) * np.array(meets)):
+            raise InternalCheckError(f"closed form disagrees with the trichotomy on row {s!r}")
+    return Kernel(params, classes, s, counts, [class_size(c, params) for c in classes])
 
 
 def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribution:
@@ -212,8 +242,9 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
     """Irreducibility by reachability on the support digraph, aperiodicity by
     the gcd of cycle-length differences through state 0."""
     n = k.size
-    support = [[j for j in range(n) if k.rat[i][j] > 0] for i in range(n)]
-    reverse = [[i for i in range(n) if k.rat[i][j] > 0] for j in range(n)]
+    positive = k.counts > 0
+    support = [np.flatnonzero(r).tolist() for r in positive]
+    reverse = [np.flatnonzero(c).tolist() for c in positive.T]
 
     def reach(adj):
         seen = {0}
@@ -249,7 +280,7 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
             for v in support[u]:
                 g = math.gcd(g, level[u] + 1 - level[v])
         period = abs(g) if g else 0
-    self_loop = next((k.classes[i].label() for i in range(n) if k.rat[i][i] > 0), None)
+    self_loop = next((k.classes[i].label() for i in range(n) if positive[i, i]), None)
     ergodic = irreducible and period == 1
     return ErgodicityReport(
         ergodic=ergodic,
@@ -261,14 +292,20 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
 
 
 def stationary(k: Kernel, method: str = "auto") -> Distribution:
-    """The unique pi with pi K = pi (exact solve at desk scale, else power
-    iteration to a 1e-13 residual)."""
+    """The unique pi with pi K = pi (exact certificate at desk scale, else
+    power iteration to a 1e-13 residual)."""
     if not ergodicity_check(k):
         raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
     if method == "auto":
-        method = "exact" if k.size <= EXACT_SIZE_CAP else "power"
+        method = "exact" if _exact_within_caps(k.size) else "power"
     if method == "exact":
-        exact = _stationary_exact(k)
+        # pi_j = N_j / sum(N) satisfies pi K = pi iff sum_i C[i, s, j] = N_s N_j;
+        # the kernel is ergodic, so it is then the unique stationary law
+        if not np.array_equal(k.counts.sum(axis=0), k.sizes[k.position(k.step)] * k.sizes):
+            raise InternalCheckError(
+                f"class sizes are not stationary for the step {k.step!r} kernel")
+        total = int(k.sizes.sum())
+        exact = [Fraction(n, total) for n in k.sizes.tolist()]
         return Distribution(k.classes, [float(v) for v in exact], exact)
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
@@ -281,37 +318,6 @@ def stationary(k: Kernel, method: str = "auto") -> Distribution:
             return Distribution(k.classes, nxt)
         vec = nxt
     raise WalkTimeout("power iteration did not reach the residual tolerance")
-
-
-def _stationary_exact(k: Kernel) -> list[Fraction]:
-    """Solve (K^T - I) pi = 0, sum(pi) = 1 by fraction-exact elimination."""
-    n = k.size
-    rows = [
-        [k.rat[j][i] - Fraction(int(i == j)) for j in range(n)] + [Fraction(0)]
-        for i in range(n)
-    ]
-    rows.append([Fraction(1)] * n + [Fraction(1)])
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((t for t in range(r, len(rows)) if rows[t][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for t in range(len(rows)):
-            if t != r and rows[t][col] != 0:
-                factor = rows[t][col]
-                rows[t] = [a - factor * b for a, b in zip(rows[t], rows[r])]
-        pivots.append(col)
-        r += 1
-    if len(pivots) != n:
-        raise NotErgodic("stationary system is rank-deficient")
-    sol = [Fraction(0)] * n
-    for t, col in enumerate(pivots):
-        sol[col] = rows[t][n]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +380,7 @@ def mixing_time(k: Kernel, pi: Distribution, eps: float,
                 return_curve: bool = False):
     """Smallest t with worst-start TV at most eps; the curve is checked to be
     non-increasing (it provably is for these kernels)."""
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError("eps must be positive")
     if eps >= 1:
         return (0, [0.0]) if return_curve else 0
@@ -402,16 +408,40 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
     if m < 1:
         raise ValueError("m must be >= 1")
     exact: Fraction | None = None
-    if m <= EXACT_POWER_CAP and k.size <= EXACT_SIZE_CAP and pi.exact is not None:
-        power = k.rational_power(m)
-        exact = min(
-            power[i][j] / pi.exact[j]
-            for i in range(k.size)
-            for j in range(k.size)
-        )
+    if _exact_within_caps(k.size, m) and pi.exact is not None:
+        exact = min(v / pj for row in k.rational_power(m) for v, pj in zip(row, pi.exact))
     mat = np.linalg.matrix_power(k.mat, m)
     ratio = float((mat / pi.probs[None, :]).min())
     return exact, ratio
+
+
+def minorization_check(k: Kernel, pi: Distribution, m: int | None = None) -> dict:
+    """The measured m-step constant (default: the reference power) against
+    the proven one, as a JSON-ready verdict.
+
+    The reference applies at its own power, for q = 3 (mod 4) or q >= 13;
+    where it does not apply the verdict is ok.  The exact constant decides
+    when present, else the float one within 1e-12.
+    """
+    ref_m, ref_c = minorization_reference(k.q, k.branch)
+    m = ref_m if m is None else m
+    exact, measured = minorization_constant(k, pi, m)
+    applicable = m == ref_m and (k.branch == 3 or k.q >= 13)
+    if not applicable:
+        ok = True
+    elif exact is not None:
+        ok = exact >= ref_c
+    else:
+        ok = measured >= float(ref_c) - 1e-12
+    return {
+        "m": m,
+        "measured": measured,
+        "measured_exact": None if exact is None else f"{exact.numerator}/{exact.denominator}",
+        "reference_m": ref_m,
+        "reference": f"{ref_c.numerator}/{ref_c.denominator}",
+        "reference_applicable": applicable,
+        "ok": ok,
+    }
 
 
 @dataclass
@@ -504,10 +534,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
     k = kernel_for_step(params, s)
     pi = haar(params)
     tau, curve = mixing_time(k, pi, eps, return_curve=True)
-    m, ref = minorization_reference(k.q, k.branch)
-    exact, measured = minorization_constant(k, pi, m)
-    applicable = k.branch == 3 or k.q >= 13
-    ok = (exact >= ref) if exact is not None else (measured >= float(ref) - 1e-12)
+    minor = minorization_check(k, pi)
     return MixingReport(
         q=k.q,
         branch=k.branch,
@@ -517,11 +544,9 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
         tau=tau,
         tau_bound=mixing_time_bound(k.q, k.branch),
         curve=curve,
-        minorization_m=m,
-        minorization_measured=measured,
-        minorization_measured_exact=(
-            f"{exact.numerator}/{exact.denominator}" if exact is not None else None
-        ),
-        minorization_reference=f"{ref.numerator}/{ref.denominator}",
-        minorization_ok=ok if applicable else True,
+        minorization_m=minor["m"],
+        minorization_measured=minor["measured"],
+        minorization_measured_exact=minor["measured_exact"],
+        minorization_reference=minor["reference"],
+        minorization_ok=minor["ok"],
     )

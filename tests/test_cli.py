@@ -1,8 +1,14 @@
+import hashlib
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 CLI = [sys.executable, "-m", "conicwalk.cli"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, cwd=None):
@@ -162,3 +168,102 @@ def test_mctv_command(tmp_path):
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert 0 <= payload["monte_carlo_tv"]["ci_low"] <= payload["monte_carlo_tv"]["ci_high"] <= 1
+
+
+# sha256 of stdout, recorded before the structure constants moved to integer
+# counts; these outputs are exact (no float from a matrix product), so the
+# refactor must not change a byte
+GOLDEN_STDOUT = {
+    ("constants", "--p", "13"):
+        "3fc7419aad91e2b78fed2fda492ccd64eec33542c4e7953aa73ab2701d08a5e1",
+    ("constants", "--p", "3", "--d", "3"):
+        "4cd3257efedf2d2c2ff83c72b5f221b1d0ba4dbb5f5abc6b1a5e4ecf666dc92b",
+    ("constants", "--p", "7", "--format", "json"):
+        "c7480c543c99f80f0ad916faf9f43af6c947c9cf39beacd05baed406dcbbebb1",
+    ("constants", "--p", "13", "--diagnostic-unsplit"):
+        "7670e68a80edee440693d920bb5a539bdded96bf0d21e536d36ab33a5cf59c73",
+    ("axioms", "--p", "5", "--d", "2"):
+        "b56f1110850d34ed3450052f31b05178d9dc47f9d23fa616354095ab20b49363",
+    ("axioms", "--p", "13", "--source", "oracle"):
+        "e727dcc4b467b56c1410393e840c57d45e407eaf1049c712c58731dba08aed25",
+    ("kernel", "--p", "13", "--s", "iso", "--format", "csv"):
+        "72728ca140bd677bbaa8f6531da4d0794eae24629b5d236a98554b24452f2644",
+    ("kernel", "--p", "7"):
+        "44c6624ed5c61102b175fb3a538a7b826b5ca4fc18d18928bc3a1a6c42c43c60",
+    ("stationary", "--p", "31", "--method", "exact"):
+        "3f2ef4dcc4067f16e40c07153adb94a9430d2b2643e22646338c6ebeed8b56f7",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=" ".join)
+def test_outputs_match_recorded_digests(args):
+    r = run_cli(*args)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]
+
+
+# stdout recorded at the same point for outputs that carry floats from BLAS
+# matrix products, whose last bits may vary with the BLAS kernel: ints and
+# strings must match exactly, floats to 1e-12 relative
+GOLDEN_FLOAT_STDOUT = {
+    ("mixing", "--p", "13"): "mixing_p13.json",
+    ("minorize", "--p", "13"): "minorize_p13.json",
+    ("scan", "--qmin", "7", "--qmax", "61"): "scan_q7_61.csv",
+}
+
+
+def _assert_matches(got, want):
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), (got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_matches(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_matches(g, w)
+    else:
+        assert type(got) is type(want) and got == want, (got, want)
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_FLOAT_STDOUT), ids=" ".join)
+def test_float_outputs_match_recorded_values(args):
+    r = run_cli(*args)
+    assert r.returncode == 0, r.stderr
+    recorded = (DATA / GOLDEN_FLOAT_STDOUT[args]).read_text()
+    if args[0] != "scan":
+        _assert_matches(json.loads(r.stdout), json.loads(recorded))
+        return
+    got, want = r.stdout.splitlines(), recorded.splitlines()
+    # the config comment and the header are exact; every data cell is read as
+    # a float, which keeps the integer columns exact at this tolerance
+    assert got[:2] == want[:2]
+    _assert_matches([[float(v) for v in line.split(",")] for line in got[2:]],
+                    [[float(v) for v in line.split(",")] for line in want[2:]])
+
+
+def test_minorize_reports_exact_zero():
+    r = run_cli("minorize", "--p", "7", "--steps", "1")
+    assert r.returncode == 0, r.stderr
+    m = json.loads(r.stdout)["minorization"]
+    assert m["measured"] == 0.0
+    assert m["measured_exact"] == "0/1"
+
+
+@pytest.mark.parametrize("args", [
+    ("mixing", "--p", "7", "--eps", "nan"),
+    ("scan", "--qmin", "7", "--qmax", "11", "--eps", "nan"),
+    ("kernel", "--p", "7", "--s", "8"),
+    ("kernel", "--p", "7", "--s", "-1"),
+    ("kernel", "--p", "7", "--a", "8"),
+    ("minorize", "--p", "7", "--steps", "0"),
+    ("couple", "--p", "7", "--trials", "0"),
+    ("mctv", "--p", "7", "--trials", "10"),
+], ids=" ".join)
+def test_invalid_input_exits_1_with_one_line(args):
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicwalk import (
     CapExceeded,
@@ -8,6 +11,8 @@ from conicwalk import (
     ConicParams,
     IndexInvalid,
     build_table,
+    class_size,
+    closed_row,
     index_set,
     make_field,
     make_prime_field,
@@ -16,6 +21,7 @@ from conicwalk import (
     two_step_support,
     verify_axioms,
 )
+from conicwalk.cli import admissible_prime_powers
 from conicwalk.errata import errata_entries
 
 from conftest import TEST_FIELDS, smallest_nonsquare, smallest_square_above_one
@@ -143,6 +149,32 @@ def test_constants_depend_only_on_discriminant_character():
         assert groups[-1] == {Fraction(0)}
         assert groups[0] == {Fraction(1, den)}
         assert groups[1] == {Fraction(2, den)}
+
+
+@st.composite
+def admissible_params(draw, qmax):
+    """Any field with q <= qmax and any weights (a, b) with a*b a square."""
+    _, p, d = draw(st.sampled_from(admissible_prime_powers(3, qmax)))
+    spec = make_field(p, d)
+    a = draw(st.integers(1, spec.q - 1))
+    t = draw(st.integers(1, spec.q - 1))
+    return ConicParams(spec, a, spec.mul_idx(a, spec.mul_idx(t, t)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(admissible_params(qmax=31))
+def test_closed_form_counts_equal_oracle_counts(params):
+    assert np.array_equal(build_table(params).counts, oracle_table(params).counts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(admissible_params(qmax=199), st.data())
+def test_closed_row_counts_nonnegative_and_normalized(params, data):
+    ci = data.draw(st.sampled_from(index_set(params)))
+    cj = data.draw(st.sampled_from(index_set(params)))
+    row = closed_row(params, ci, cj)
+    assert row.min() >= 0
+    assert row.sum() == class_size(ci, params) * class_size(cj, params)
 
 
 def _integer_scaled(table):
