@@ -19,7 +19,7 @@ import click
 from . import __version__
 from .conic_geometry import ClassIndex, ConicParams, ORACLE_CAP
 from .errata import errata_report
-from .errors import ConfigError, ConicwalkError
+from .errors import ConfigError, ConicwalkError, NotErgodic
 from .finite_field import FieldSpec, make_field
 from .hypergroup import build_table, oracle_table, verify_axioms
 from .walk_analysis import (
@@ -312,6 +312,8 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
     """Coupled-walk simulation: coalescence times and empirical tail."""
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
     cfg = RunConfig(command="couple", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "start": start})
     params = _params(cfg)
@@ -340,6 +342,10 @@ def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
     if trials < 1000:
         raise ConfigError("--trials must be >= 1000")
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    if t < 0:
+        raise ConfigError("--t must be >= 0")
     cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "t": t, "start": start})
     params = _params(cfg)
@@ -419,7 +425,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as e:
         return int(e.code or 0)
-    except (ConfigError, click.ClickException, click.exceptions.Abort) as e:
+    except (ConfigError, NotErgodic, click.ClickException, click.exceptions.Abort) as e:
         msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 1

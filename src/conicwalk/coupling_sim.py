@@ -5,44 +5,118 @@ distribution; they move independently until they first meet and together
 afterwards.  The tail of the meeting time dominates the exact TV distance,
 which is what the simulations validate.
 
-All randomness comes from numpy's PCG64 generator.  Trial t of a batch uses
-the sub-stream seeded by SeedSequence((seed, t)), so batches are
-reproducible and trials are independent regardless of execution order.
+All trials of a batch advance in lockstep, one ``np.searchsorted`` over the
+row CDFs per step.  Uniforms follow the layout ``STREAM``, echoed in every
+coupling and MC-TV payload: in splitmix64-trial-counter/v1, uniform j of trial
+t under seed s is (z >> 11) * 2^-53 for z the SplitMix64 output number
+(t << 32) + j + 1 from the state SeedSequence(s).generate_state(1, uint64)[0].
+A coupling trial meeting at step T draws the stationary start with uniform 0,
+steps n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
+T + n; step n of an MC-TV trial uses n - 1.  Draws depend only on (s, t), so
+batches are reproducible and order-independent.  The MC-TV bootstrap and
+``WalkState`` use numpy's PCG64.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conic_geometry import ClassIndex
-from .errors import IndexInvalid, WalkTimeout
-from .walk_analysis import Distribution, Kernel
+from .errors import CapExceeded, IndexInvalid, NotErgodic, WalkTimeout
+from .walk_analysis import Distribution, Kernel, ergodicity_check
 
+STREAM = "splitmix64-trial-counter/v1"
 COALESCENCE_STEP_LIMIT = 10**6
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_BITS = np.uint64(53)  # a uniform is U * 2^-53 for a 53-bit integer U
 
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _cumrows(k: Kernel) -> list[list[float]]:
-    out = []
-    for row in k.mat:
-        acc = 0.0
-        cum = []
-        for v in row:
-            acc += float(v)
-            cum.append(acc)
-        cum[-1] = 1.0
-        out.append(cum)
-    return out
+def _splitmix64(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """53-bit integer U of SplitMix64 output number ``counter`` (from 1)."""
+    with np.errstate(over="ignore"):  # updates in place keep temporaries few
+        z = counter * _GAMMA + key
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        return (z ^ (z >> np.uint64(31))) >> np.uint64(11)
 
 
-def _draw(cum: list[float], u: float) -> int:
-    return bisect.bisect_right(cum, u)
+def _cdf(rows: np.ndarray) -> np.ndarray:
+    """Cumulative rows with the last entry exactly 1.0."""
+    cdf = rows.cumsum(axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+class _Lockstep:
+    """Inverse-CDF draws for many walkers at once, from the stream of one seed.
+
+    The CDFs of the rows of ``k.mat``, with ``pi`` appended as row n, form one
+    sorted uint64 array: entry (r, j) is r * 2^53 + ceil(cdf[r, j] * 2^53).
+    Walker at row r with uniform U * 2^-53 then moves to the first j with
+    cdf[r, j] > U * 2^-53, found exactly by one searchsorted for all walkers.
+    """
+
+    def __init__(self, k: Kernel, pi: Distribution, seed: int):
+        if pi.classes != k.classes:
+            raise IndexInvalid("pi and kernel index sets differ")
+        if not ergodicity_check(k):
+            raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
+        if k.size >= 2047:  # (n + 1) rows of 2^53 keys each must fit in uint64
+            raise CapExceeded(f"{k.size} classes exceed the walk engine's limit of 2046")
+        self.n = k.size
+        self.key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+        scaled = np.ceil(_cdf(np.vstack([k.mat, pi.probs])) * 2.0**53).astype(np.uint64)
+        rows = np.arange(self.n + 1, dtype=np.uint64)[:, None] << _BITS
+        self.keys = (rows + scaled).ravel()
+
+    def draw(self, rows: np.ndarray, trials: np.ndarray, j) -> np.ndarray:
+        """Next class of walkers at ``rows`` with uniform ``j`` of each of ``trials``."""
+        query = _splitmix64(self.key, (trials << np.uint64(32)) + np.asarray(j, np.uint64) + 1)
+        query += rows.astype(np.uint64) << _BITS
+        return np.searchsorted(self.keys, query, side="right") - rows * self.n
+
+    def meeting_times(self, x0: int, trials: np.ndarray, marginal_steps: tuple[int, ...],
+                      step_limit: int) -> tuple[np.ndarray, dict]:
+        """Meeting times of the trials' chain pairs, and per step in
+        ``marginal_steps`` the stationary chain's class counts."""
+        n, m = self.n, trials.size
+        x = np.full(m, x0, dtype=np.int64)
+        y = self.draw(np.full(m, n, dtype=np.int64), trials, 0)
+        times = np.zeros(m, dtype=np.int64)
+        met = x == y
+        walking = np.flatnonzero(~met)
+        marg = {t: np.zeros(n, dtype=np.int64) for t in marginal_steps}
+        horizon = max(marginal_steps, default=0)
+        t = 0
+        while True:
+            if t in marg:
+                marg[t] += np.bincount(y, minlength=n)
+            if not walking.size and t >= horizon:
+                return times, marg
+            if walking.size and t >= step_limit:
+                raise WalkTimeout(f"no coalescence within {step_limit} steps")
+            t += 1
+            if t <= horizon:  # chains that have met move together: one draw
+                both = np.flatnonzero(met)
+                y[both] = self.draw(y[both], trials[both], times[both] + t)
+            ids = trials[walking]
+            x[walking] = xs = self.draw(x[walking], ids, 2 * t - 1)
+            y[walking] = ys = self.draw(y[walking], ids, 2 * t)
+            hit = walking[xs == ys]
+            times[hit] = t
+            met[hit] = True
+            walking = walking[xs != ys]
 
 
 @dataclass
@@ -59,18 +133,9 @@ class WalkState:
 
 
 def sample_step(state: WalkState, k: Kernel) -> ClassIndex:
-    """Advance one step: inverse-CDF draw over the canonical class order."""
-    pos = k.position(state.current)
-    u = state.rng.random()
-    acc = 0.0
-    row = k.mat[pos]
-    nxt = k.size - 1
-    for j in range(k.size):
-        acc += row[j]
-        if u < acc:
-            nxt = j
-            break
-    state.current = k.classes[nxt]
+    """Advance one step: the first class whose row CDF exceeds a uniform."""
+    cdf = _cdf(k.mat[k.position(state.current)])
+    state.current = k.classes[int(cdf.searchsorted(state.rng.random(), side="right"))]
     state.steps += 1
     return state.current
 
@@ -79,30 +144,14 @@ def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed,
                 step_limit: int = COALESCENCE_STEP_LIMIT) -> int:
     """First meeting time of the fixed-start chain and a stationary chain.
 
-    The stationary chain's start is drawn from pi; both chains step
-    independently (first chain draws first) until they coincide.
+    ``seed`` is (s, t) for trial t of the batch with seed s; an int s means
+    (s, 0).  The stationary chain's start is drawn from pi; both chains step
+    independently until they coincide.
     """
-    if pi.classes != k.classes:
-        raise IndexInvalid("pi and kernel index sets differ")
-    rng = _rng(seed)
-    cum = _cumrows(k)
-    pi_cum = []
-    acc = 0.0
-    for v in pi.probs:
-        acc += float(v)
-        pi_cum.append(acc)
-    pi_cum[-1] = 1.0
-
-    x = k.position(i)
-    y = _draw(pi_cum, rng.random())
-    t = 0
-    while x != y:
-        if t >= step_limit:
-            raise WalkTimeout(f"no coalescence within {step_limit} steps")
-        x = _draw(cum[x], rng.random())
-        y = _draw(cum[y], rng.random())
-        t += 1
-    return t
+    s, trial = seed if isinstance(seed, tuple) else (seed, 0)
+    times, _ = _Lockstep(k, pi, s).meeting_times(
+        k.position(i), np.array([trial], dtype=np.uint64), (), step_limit)
+    return int(times[0])
 
 
 @dataclass
@@ -125,16 +174,7 @@ class CouplingStats:
         return sum(1 for v in self.times if v > t) / self.trials
 
     def tail_curve(self) -> list[float]:
-        top = max(self.times)
-        hist = [0] * (top + 1)
-        for v in self.times:
-            hist[v] += 1
-        out = []
-        above = self.trials
-        for t in range(top + 1):
-            above -= hist[t]
-            out.append(above / self.trials)
-        return out
+        return ((self.trials - np.cumsum(np.bincount(self.times))) / self.trials).tolist()
 
     def tail_stderr(self, t: int) -> float:
         p = self.tail(t)
@@ -146,6 +186,7 @@ class CouplingStats:
             "step": self.step,
             "trials": self.trials,
             "seed": self.seed,
+            "stream": STREAM,
             "mean_time": self.mean_time,
             "times": self.times,
             "tail": self.tail_curve(),
@@ -156,61 +197,23 @@ class CouplingStats:
 def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
                         trials: int, seed: int,
                         marginal_steps: tuple[int, ...] = ()) -> CouplingStats:
-    """Independent coupled runs; trial t uses sub-seed (seed, t).
+    """Independent coupled runs; trial t is ``coupled_run`` with seed (seed, t).
 
     ``marginal_steps`` additionally records the stationary chain's class at
     the requested steps (it should stay pi-distributed for all t).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if pi.classes != k.classes:
-        raise IndexInvalid("pi and kernel index sets differ")
-    cum = _cumrows(k)
-    pi_cum = []
-    acc = 0.0
-    for v in pi.probs:
-        acc += float(v)
-        pi_cum.append(acc)
-    pi_cum[-1] = 1.0
-    x0 = k.position(start)
-    n = k.size
-    want_marginals = tuple(sorted(set(marginal_steps)))
-    marg = {t: [0] * n for t in want_marginals}
-    horizon = max(want_marginals, default=0)
-
-    times = []
-    for trial in range(trials):
-        rng = _rng((seed, trial))
-        x = x0
-        y = _draw(pi_cum, rng.random())
-        t = 0
-        met = x == y
-        coalesced_at = 0 if met else None
-        while True:
-            if coalesced_at is None:
-                if t >= COALESCENCE_STEP_LIMIT:
-                    raise WalkTimeout(f"no coalescence within {COALESCENCE_STEP_LIMIT} steps")
-                x = _draw(cum[x], rng.random())
-                y = _draw(cum[y], rng.random())
-                t += 1
-                if x == y:
-                    coalesced_at = t
-            else:
-                if t >= horizon:
-                    break
-                # moved together: one draw advances both chains
-                x = y = _draw(cum[x], rng.random())
-                t += 1
-            if t in marg:
-                marg[t][y] += 1
-        times.append(coalesced_at)
+    times, marg = _Lockstep(k, pi, seed).meeting_times(
+        k.position(start), np.arange(trials, dtype=np.uint64),
+        tuple(sorted(set(marginal_steps))), COALESCENCE_STEP_LIMIT)
     return CouplingStats(
         start=start.label(),
         step=k.step.label(),
         trials=trials,
         seed=seed,
-        times=times,
-        marginal_counts=marg,
+        times=times.tolist(),
+        marginal_counts={t: c.tolist() for t, c in marg.items()},
     )
 
 
@@ -234,6 +237,7 @@ class MonteCarloTV:
             "t": self.t,
             "trials": self.trials,
             "seed": self.seed,
+            "stream": STREAM,
             "estimate": self.estimate,
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
@@ -256,19 +260,15 @@ def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    if pi.classes != k.classes:
-        raise IndexInvalid("pi and kernel index sets differ")
-    cum = _cumrows(k)
-    x0 = k.position(i)
-    n = k.size
-    counts = [0] * n
-    for trial in range(trials):
-        rng = _rng((seed, trial))
-        x = x0
-        for _ in range(t):
-            x = _draw(cum[x], rng.random())
-        counts[x] += 1
-    emp = np.array(counts, dtype=float) / trials
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    walk = _Lockstep(k, pi, seed)
+    ids = np.arange(trials, dtype=np.uint64)
+    x = np.full(trials, k.position(i), dtype=np.int64)
+    for j in range(t):
+        x = walk.draw(x, ids, j)
+    counts = np.bincount(x, minlength=k.size)
+    emp = counts / trials
     estimate = 0.5 * float(np.abs(emp - pi.probs).sum())
 
     boot_rng = _rng((seed, 1 << 32))  # sub-seed outside the trial-index range
@@ -282,5 +282,5 @@ def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
         estimate=estimate,
         ci_low=max(0.0, estimate - radius),
         ci_high=min(1.0, estimate + radius),
-        counts=counts,
+        counts=counts.tolist(),
     )

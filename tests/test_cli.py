@@ -260,6 +260,12 @@ def test_minorize_reports_exact_zero():
     ("minorize", "--p", "7", "--steps", "0"),
     ("couple", "--p", "7", "--trials", "0"),
     ("mctv", "--p", "7", "--trials", "10"),
+    ("couple", "--p", "7", "--trials", "10", "--seed", "-1"),
+    ("mctv", "--p", "7", "--trials", "1000", "--seed", "-5"),
+    ("mctv", "--p", "7", "--trials", "1000", "--t", "-3"),
+    # the identity step kernel never mixes: a user error, not an internal one
+    ("couple", "--p", "7", "--trials", "10", "--s", "0"),
+    ("stationary", "--p", "7", "--s", "0"),
 ], ids=" ".join)
 def test_invalid_input_exits_1_with_one_line(args):
     r = run_cli(*args)

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -6,6 +8,7 @@ from conicwalk import (
     ClassIndex,
     ConicParams,
     Distribution,
+    NotErgodic,
     WalkState,
     coupled_run,
     evolve,
@@ -206,3 +209,126 @@ def test_monte_carlo_tv_deterministic(setup13):
     a = monte_carlo_tv(k.classes[0], 4, 2000, 123, k, pi)
     b = monte_carlo_tv(k.classes[0], 4, 2000, 123, k, pi)
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# stream contract (splitmix64-trial-counter/v1)
+# ---------------------------------------------------------------------------
+
+def _splitmix_uniform(key, trial, j):
+    """Uniform j of a trial, written out from the documented layout with
+    Python ints: SplitMix64 output number (trial << 32) + j + 1."""
+    mask = (1 << 64) - 1
+    z = (key + ((trial << 32) + j + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def test_splitmix64_matches_published_outputs():
+    # the first outputs of the reference SplitMix64 (Vigna's splitmix64.c)
+    # from the state 1234567; the stream keeps their top 53 bits
+    from conicwalk.coupling_sim import _splitmix64
+
+    published = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                 4593380528125082431, 16408922859458223821]
+    got = _splitmix64(np.array([1234567], dtype=np.uint64), np.arange(1, 6, dtype=np.uint64))
+    assert got.tolist() == [v >> 11 for v in published]
+    assert [_splitmix_uniform(1234567, 0, j) for j in range(5)] == \
+        [(v >> 11) * 2.0**-53 for v in published]
+
+
+def _cdf_lists(k, pi):
+    rows = [np.cumsum(r).tolist() for r in (*k.mat, pi.probs)]
+    for r in rows:
+        r[-1] = 1.0
+    return rows
+
+
+def _reference_trial(k, pi, x0, seed, trial, horizon):
+    """One coupling trial stepped one draw at a time: (meeting time, the
+    stationary chain's class at steps 0..max(T, horizon))."""
+    key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    cdf = _cdf_lists(k, pi)
+
+    def draw(row, j):
+        return bisect.bisect_right(cdf[row], _splitmix_uniform(key, trial, j))
+
+    x, y = x0, draw(k.size, 0)
+    met = 0 if x == y else None
+    path = [y]
+    n = 0
+    while met is None or n < horizon:
+        n += 1
+        if met is None:
+            x, y = draw(x, 2 * n - 1), draw(y, 2 * n)
+            met = n if x == y else None
+        else:
+            y = draw(y, met + n)
+        path.append(y)
+    return met, path
+
+
+def test_stream_matches_one_draw_at_a_time_reference(setup7):
+    _, k, pi = setup7
+    steps = (0, 3, 10)
+    stats = run_coupling_trials(k, pi, k.classes[0], trials=300, seed=42, marginal_steps=steps)
+    ref = [_reference_trial(k, pi, 0, 42, t, max(steps)) for t in range(300)]
+    assert stats.times == [met for met, _ in ref]
+    for s in steps:
+        want = np.bincount([path[s] for _, path in ref], minlength=k.size).tolist()
+        assert stats.marginal_counts[s] == want
+
+
+def test_monte_carlo_counts_match_one_draw_at_a_time_reference(setup7):
+    _, k, pi = setup7
+    key = int(np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
+    cdf = _cdf_lists(k, pi)
+    want = [0] * k.size
+    for trial in range(1000):
+        x = 0
+        for j in range(3):
+            x = bisect.bisect_right(cdf[x], _splitmix_uniform(key, trial, j))
+        want[x] += 1
+    assert monte_carlo_tv(k.classes[0], 3, 1000, 5, k, pi).counts == want
+
+
+def test_batch_prefix_is_independent_of_batch_size(setup7):
+    _, k, pi = setup7
+    long = run_coupling_trials(k, pi, k.classes[0], trials=1000, seed=23)
+    short = run_coupling_trials(k, pi, k.classes[0], trials=200, seed=23)
+    assert long.times[:200] == short.times
+
+
+def test_stream_known_answer_q7_seed42(setup7):
+    # pins the layout: a change to the stream or the draw rule changes these
+    _, k, pi = setup7
+    stats = run_coupling_trials(k, pi, k.classes[0], trials=12, seed=42)
+    assert stats.times == [8, 7, 3, 5, 17, 4, 2, 18, 6, 5, 3, 9]
+    assert stats.to_json()["stream"] == "splitmix64-trial-counter/v1"
+
+
+def test_marginal_rows_sum_to_trials_past_every_meeting(setup7):
+    _, k, pi = setup7
+    plain = run_coupling_trials(k, pi, k.classes[0], trials=2000, seed=31)
+    top = max(plain.times)
+    steps = (1, top, top + 5)
+    stats = run_coupling_trials(k, pi, k.classes[0], trials=2000, seed=31, marginal_steps=steps)
+    assert stats.times == plain.times
+    for s in steps:
+        assert sum(stats.marginal_counts[s]) == 2000
+
+
+def test_non_ergodic_kernel_is_rejected_before_walking(setup7):
+    params, _, pi = setup7
+    k0 = kernel_for_step(params, _cls(params.spec, 0))
+    with pytest.raises(NotErgodic):
+        run_coupling_trials(k0, pi, k0.classes[1], trials=10, seed=0)
+    with pytest.raises(NotErgodic):
+        monte_carlo_tv(k0.classes[1], 2, 1000, 0, k0, pi)
+
+
+def test_monte_carlo_tv_rejects_negative_t(setup7):
+    _, k, pi = setup7
+    with pytest.raises(ValueError):
+        monte_carlo_tv(k.classes[0], -1, 1000, 0, k, pi)
