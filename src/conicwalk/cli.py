@@ -8,6 +8,7 @@ assertion.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -84,6 +85,11 @@ def _params(cfg: RunConfig) -> ConicParams:
         raise ConfigError(f"invalid conic weights: {e}") from e
 
 
+def _check_cap(params: ConicParams, cap: int) -> None:
+    if params.q > cap:
+        raise ConfigError(f"q = {params.q} exceeds the oracle cap {cap}")
+
+
 def _parse_class(label: str, params: ConicParams) -> ClassIndex:
     if label == "iso":
         if not params.split:
@@ -106,25 +112,31 @@ def _config_comment(cfg: RunConfig) -> str:
     return f"# conicwalk {__version__} {items}"
 
 
-def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:
-    payload = {"config": cfg.to_json(), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """The --out file, or stdout when no path is given."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:
+    payload = {"config": cfg.to_json(), **payload}
+    with _sink(out) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(header: list[str], rows, cfg: RunConfig, out: str | None) -> None:
-    lines = [_config_comment(cfg), ",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream the rows, flushing every line, so a run that stops early keeps
+    the rows written before it stopped."""
+    with _sink(out) as fh:
+        fh.write(_config_comment(cfg) + "\n" + ",".join(header) + "\n")
+        fh.flush()
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+            fh.flush()
 
 
 def _note(msg: str) -> None:
@@ -164,6 +176,8 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
                     extra={"verify_oracle": verify_oracle,
                            "diagnostic_unsplit": diagnostic_unsplit})
     params = _params(cfg)
+    if verify_oracle or diagnostic_unsplit:
+        _check_cap(params, cap)
     if cap > ORACLE_CAP:
         _note(f"warning: enumeration cap raised to {cap}; O(q^4) oracle may be slow")
 
@@ -187,11 +201,8 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
     if verify_oracle:
         oracle = oracle_table(params, cap=cap)
         fresh = table.mismatches(oracle)
-        report = errata_report(fresh)
         path = errata_out or (f"{out}.errata.json" if out else "errata.json")
-        with open(path, "w") as fh:
-            json.dump({"config": cfg.to_json(), **report}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit_json(errata_report(fresh), cfg, path)
         if fresh:
             _note(f"oracle mismatch: {len(fresh)} differing triples; see {path}")
             raise SystemExit(2)
@@ -208,6 +219,8 @@ def axioms(p, d, a, b, c, out, source):
     cfg = RunConfig(command="axioms", p=p, d=d, a=a, b=b, c=c,
                     extra={"source": source})
     params = _params(cfg)
+    if source == "oracle":
+        _check_cap(params, cfg.cap)
     table = build_table(params, source)
     report = verify_axioms(table)
     _emit_json({"axioms": report.to_json()}, cfg, out)
@@ -372,35 +385,26 @@ def scan(qmin, qmax, branch, eps, out):
         raise ConfigError("need 3 <= qmin <= qmax")
     if not eps > 0:  # also rejects nan
         raise ConfigError("eps must be positive")
-    sink = open(out, "w") if out else sys.stdout
-    try:
-        header = ("q,branch,class_count,tau_measured,tau_bound,"
-                  "minorization_measured,minorization_bound,ratio_tau_over_q")
-        sink.write(_config_comment(cfg) + "\n" + header + "\n")
-        sink.flush()
-        max_ratio = 0.0
+    ratios = []
+
+    def rows():
         for q, p, d in admissible_prime_powers(qmin, qmax):
             if branch != "both" and q % 4 != int(branch):
                 continue
-            params = ConicParams(make_field(p, d), 1, 1)
-            rep = mixing_report(params, eps=eps)
-            ratio = rep.tau / q
-            max_ratio = max(max_ratio, ratio)
-            ref = rep.minorization_reference
-            num, den = ref.split("/")
-            sink.write(",".join([
-                str(q), str(rep.branch), str(rep.class_count), str(rep.tau),
-                str(rep.tau_bound), _fmt_float(rep.minorization_measured),
-                _fmt_float(int(num) / int(den)), _fmt_float(ratio),
-            ]) + "\n")
-            sink.flush()
+            rep = mixing_report(ConicParams(make_field(p, d), 1, 1), eps=eps)
+            ratios.append(rep.tau / q)
+            num, den = rep.minorization_reference.split("/")
+            yield (q, rep.branch, rep.class_count, rep.tau, rep.tau_bound,
+                   _fmt_float(rep.minorization_measured), _fmt_float(int(num) / int(den)),
+                   _fmt_float(ratios[-1]))
             if rep.tau > rep.tau_bound:
                 _note(f"q={q}: tau {rep.tau} exceeds bound {rep.tau_bound}")
                 raise SystemExit(2)
-        _note(f"scan [{qmin},{qmax}] branch={branch}: max tau/q = {max_ratio:.4f}")
-    finally:
-        if out:
-            sink.close()
+
+    _emit_csv(["q", "branch", "class_count", "tau_measured", "tau_bound",
+               "minorization_measured", "minorization_bound", "ratio_tau_over_q"],
+              rows(), cfg, out)
+    _note(f"scan [{qmin},{qmax}] branch={branch}: max tau/q = {max(ratios, default=0.0):.4f}")
 
 
 def admissible_prime_powers(qmin: int, qmax: int) -> list[tuple[int, int, int]]:

@@ -213,16 +213,9 @@ def circle_points(
     return out
 
 
-_INV4_CACHE: dict[FieldSpec, int] = {}
-
-
 def _inv4_idx(spec: FieldSpec) -> int:
-    idx = _INV4_CACHE.get(spec)
-    if idx is None:
-        two = spec.add_idx(1, 1)
-        idx = spec.inv_idx(spec.add_idx(two, two))
-        _INV4_CACHE[spec] = idx
-    return idx
+    """Index of 1/4, which lies in the prime subfield, where an index is its residue."""
+    return pow(4, -1, spec.p)
 
 
 def f_discriminant(i: FieldElement, j: FieldElement, k: FieldElement) -> FieldElement:
@@ -281,13 +274,9 @@ def quadrance_value_grid(params: ConicParams) -> np.ndarray:
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
     a, b = params.a.idx, params.b.idx
-    if spec.d == 1:
-        dx = (xs[None, :] - xs[:, None]) % q
-        dy = (ys[None, :] - ys[:, None]) % q
-        return (a * dx * dx + b * dy * dy) % q
     add = spec.add_table()
     mul = spec.mul_table()
-    neg = np.array([spec.neg_idx(i) for i in range(q)])
+    neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
     dx = add[neg[xs[:, None]], xs[None, :]]
     dy = add[neg[ys[:, None]], ys[None, :]]
     sq_dx = mul[dx, dx]
@@ -302,8 +291,6 @@ def origin_quadrance_values(params: ConicParams) -> np.ndarray:
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
     a, b = params.a.idx, params.b.idx
-    if spec.d == 1:
-        return (a * xs * xs + b * ys * ys) % q
     mul = spec.mul_table()
     add = spec.add_table()
     return add[mul[a, mul[xs, xs]], mul[b, mul[ys, ys]]]
@@ -313,17 +300,11 @@ def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
     """Quadratic character of f(i, j, k) over broadcast arrays of element
     indices, as int64: the vectorised form of
     ``quadratic_character(f_discriminant(i, j, k))``."""
-    q = spec.q
-    inv4 = _inv4_idx(spec)
-    if spec.d == 1:
-        s = (i + j - k) % q
-        f = (i * j - s * s * inv4) % q
-    else:
-        add = spec.add_table()
-        mul = spec.mul_table()
-        neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
-        s = add[add[i, j], neg[k]]
-        f = add[mul[i, j], neg[mul[mul[s, s], inv4]]]
+    add = spec.add_table()
+    mul = spec.mul_table()
+    neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
+    s = add[add[i, j], neg[k]]
+    f = add[mul[i, j], neg[mul[mul[s, s], _inv4_idx(spec)]]]
     # chi_table is int8; callers scale the character by q +- 1
     return spec.chi_table()[f].astype(np.int64)
 

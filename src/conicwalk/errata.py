@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .conic_geometry import ConicParams, _inv4_idx, index_set
+from .conic_geometry import ConicParams, f_discriminant, index_set
 from .finite_field import FieldElement
 
 
@@ -64,10 +64,11 @@ def errata_entries() -> list[dict]:
 def published_f_discriminant(
     i: FieldElement, j: FieldElement, k: FieldElement
 ) -> FieldElement:
-    """The stated, non-symmetric discriminant i*j - (i - j - k)^2 / 4."""
-    spec = i.spec
-    s = i - j - k
-    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec))
+    """The stated, non-symmetric discriminant i*j - (i - j - k)^2 / 4.
+
+    It is f(i, j, k) + j*(i - k), because (i+j-k)^2 - (i-j-k)^2 = 4j(i-k).
+    """
+    return f_discriminant(i, j, k) + j * (i - k)
 
 
 def published_six_step_reference(params: ConicParams) -> list[Fraction]:

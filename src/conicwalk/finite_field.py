@@ -7,9 +7,10 @@ vectors with the highest-degree coefficient most significant, which is the
 total order used everywhere determinism matters (CSV dumps, smallest square
 roots, worst-initial-state scans).
 
-Prime fields compute directly mod p; extension fields reduce polynomials
-modulo a monic irreducible modulus and cache q-by-q lookup tables on first
-use.
+Every field, prime or not, computes through q-by-q ``add``/``mul`` lookup
+tables built once per :class:`FieldSpec` on first use: the digit vectors are
+added mod p, or convolved and reduced top-down by the monic modulus.  A prime
+field is the d = 1 case, with modulus x.
 """
 
 from __future__ import annotations
@@ -30,24 +31,6 @@ def _is_odd_prime(p: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _poly_mul_mod(u: list[int], v: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Schoolbook product of two coefficient lists, reduced mod (modulus, p)."""
-    d = len(modulus) - 1
-    prod = [0] * (2 * d - 1)
-    for s, us in enumerate(u):
-        if us:
-            for t, vt in enumerate(v):
-                prod[s + t] += us * vt
-    # monic modulus: cancel leading terms top-down
-    for deg in range(2 * d - 2, d - 1, -1):
-        lead = prod[deg] % p
-        if lead:
-            for i in range(d):
-                prod[deg - d + i] -= lead * modulus[i]
-        prod[deg] = 0
-    return [c % p for c in prod[:d]]
 
 
 def _poly_eval(coeffs: tuple[int, ...], x: int, p: int) -> int:
@@ -130,14 +113,12 @@ class FieldSpec:
     # -- element creation ---------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int (canonical index; residue for d = 1) or coefficient list."""
+        """Coerce an int (canonical index in ``range(q)``) or coefficient list."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise FieldMismatch(f"element of {value.spec!r} used in {self!r}")
             return value
         if isinstance(value, (int, np.integer)):
-            if self.d == 1:
-                return FieldElement(self, int(value) % self.p)
             if not 0 <= value < self.q:
                 raise ValueError(f"index {value} out of range for {self!r}")
             return FieldElement(self, int(value))
@@ -167,31 +148,20 @@ class FieldSpec:
     # -- scalar index arithmetic ---------------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
-        if self.d == 1:
-            return (i + j) % self.p
         return int(self.add_table()[i, j])
 
     def neg_idx(self, i: int) -> int:
-        if self.d == 1:
-            return (-i) % self.p
-        enc = 0
-        for c in reversed(_digits(i, self.p, self.d)):
-            enc = enc * self.p + (-c) % self.p
-        return enc
+        return int(self.mul_table()[self.p - 1, i])  # p - 1 is the index of -1
 
     def sub_idx(self, i: int, j: int) -> int:
         return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i: int, j: int) -> int:
-        if self.d == 1:
-            return (i * j) % self.p
         return int(self.mul_table()[i, j])
 
     def pow_idx(self, i: int, n: int) -> int:
         if n < 0:
             raise ValueError("negative exponent; use inv_idx")
-        if self.d == 1:
-            return pow(i, n, self.p)
         acc, base = 1, i
         while n:
             if n & 1:
@@ -217,25 +187,29 @@ class FieldSpec:
 
     def add_table(self) -> np.ndarray:
         if self._add_np is None:
-            digits = np.array([_digits(i, self.p, self.d) for i in range(self.q)])
-            summed = (digits[:, None, :] + digits[None, :, :]) % self.p
-            weights = self.p ** np.arange(self.d)
-            self._add_np = (summed * weights).sum(axis=2).astype(np.int64)
+            self._build_tables()
         return self._add_np
 
     def mul_table(self) -> np.ndarray:
         if self._mul_np is None:
-            tab = np.zeros((self.q, self.q), dtype=np.int64)
-            coeff_lists = [_digits(i, self.p, self.d) for i in range(self.q)]
-            weights = [self.p**k for k in range(self.d)]
-            for i in range(self.q):
-                for j in range(i, self.q):
-                    prod = _poly_mul_mod(coeff_lists[i], coeff_lists[j], self.modulus, self.p)
-                    enc = sum(c * w for c, w in zip(prod, weights))
-                    tab[i, j] = enc
-                    tab[j, i] = enc
-            self._mul_np = tab
+            self._build_tables()
         return self._mul_np
+
+    def _build_tables(self) -> None:
+        """Both (q, q) int64 tables from the base-p digit vectors of every index."""
+        p, d = self.p, self.d
+        weights = p ** np.arange(d, dtype=np.int64)
+        digits = np.arange(self.q, dtype=np.int64)[:, None] // weights % p  # (q, d)
+        x, y = digits[:, None, :], digits[None, :, :]
+        self._add_np = (x + y) % p @ weights
+        # product coefficients by convolution, then cancel degrees >= d top-down
+        prod = np.zeros((self.q, self.q, 2 * d - 1), dtype=np.int64)
+        for s in range(d):
+            prod[:, :, s:s + d] += x[:, :, s:s + 1] * y
+        low = np.array(self.modulus[:d], dtype=np.int64)
+        for deg in range(2 * d - 2, d - 1, -1):
+            prod[:, :, deg - d:deg] -= prod[:, :, deg:deg + 1] % p * low
+        self._mul_np = prod[:, :, :d] % p @ weights
 
     def chi_table(self) -> np.ndarray:
         if self._chi_np is None:
@@ -248,29 +222,17 @@ class FieldSpec:
         return self._sqrt_np
 
     def _build_square_tables(self) -> None:
+        v = np.arange(1, self.q)
+        # np.unique reports each square's first, i.e. smaller, root
+        squares, first = np.unique(self.mul_table()[v, v], return_index=True)
         chi = np.full(self.q, -1, dtype=np.int8)
         root = np.full(self.q, -1, dtype=np.int64)
         chi[0] = 0
         root[0] = 0
-        for v in range(1, self.q):
-            s = self.mul_idx(v, v)
-            chi[s] = 1
-            if root[s] < 0:  # ascending v, so the first writer is the smaller root
-                root[s] = v
+        chi[squares] = 1
+        root[squares] = v[first]
         self._chi_np = chi
         self._sqrt_np = root
-
-    # -- vectorised index arithmetic (used by the enumeration oracles) --------
-
-    def add_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            return (x + y) % self.p
-        return self.add_table()[x, y]
-
-    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            return (x * y) % self.p
-        return self.mul_table()[x, y]
 
 
 class FieldElement:
@@ -407,21 +369,10 @@ def quadratic_character(x: FieldElement) -> int:
 
 
 def sqrt(x: FieldElement) -> FieldElement | None:
-    """The smaller square root of x in canonical order, or None for non-squares.
-
-    Uses the (q+1)/4 exponent when q = 3 (mod 4), otherwise the exhaustive
-    table; both routes return the smaller of the two roots.
-    """
-    spec = x.spec
-    if x.idx == 0:
-        return spec.zero
-    if spec.q % 4 == 3:
-        r = spec.pow_idx(x.idx, (spec.q + 1) // 4)
-        if spec.mul_idx(r, r) != x.idx:
-            return None
-        return FieldElement(spec, min(r, spec.neg_idx(r)))
-    r = spec.sqrt_idx(x.idx)
-    return None if r is None else FieldElement(spec, r)
+    """The smaller square root of x in canonical order, or None for non-squares,
+    from the cached square-enumeration table."""
+    r = x.spec.sqrt_idx(x.idx)
+    return None if r is None else FieldElement(x.spec, r)
 
 
 def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:

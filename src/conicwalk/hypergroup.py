@@ -193,13 +193,14 @@ def oracle_table(
     n_pts = q * q
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
+    add = spec.add_table()
 
     counts = np.zeros(n_classes**3, dtype=np.int64)
     block = max(1, 2_000_000 // n_pts)
     for start in range(0, n_pts, block):
         stop = min(start + block, n_pts)
-        sx = spec.add_array(xs[start:stop, None], xs[None, :])
-        sy = spec.add_array(ys[start:stop, None], ys[None, :])
+        sx = add[xs[start:stop, None], xs[None, :]]
+        sy = add[ys[start:stop, None], ys[None, :]]
         sum_cls = cls[sx * q + sy]
         key = (cls[start:stop, None] * n_classes + cls[None, :]) * n_classes + sum_cls
         counts += np.bincount(key.ravel(), minlength=n_classes**3)

@@ -140,6 +140,24 @@ def test_scan_small_range(tmp_path):
         assert int(parts[3]) <= int(parts[4])
 
 
+def test_scan_failure_keeps_rows_written_before_it(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from conicwalk import cli
+
+    real = cli.mixing_report
+
+    def failing_at_11(params, **kw):
+        rep = real(params, **kw)
+        return replace(rep, tau_bound=-1) if params.q == 11 else rep
+
+    monkeypatch.setattr(cli, "mixing_report", failing_at_11)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--qmin", "7", "--qmax", "13", "--out", str(out)]) == 2
+    qs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
+    assert qs == [7, 9, 11]
+
+
 def test_scan_branch_filter(tmp_path):
     out = tmp_path / "scan3.csv"
     r = run_cli("scan", "--qmin", "7", "--qmax", "30", "--branch", "3", "--out", str(out))
@@ -266,10 +284,16 @@ def test_minorize_reports_exact_zero():
     # the identity step kernel never mixes: a user error, not an internal one
     ("couple", "--p", "7", "--trials", "10", "--s", "0"),
     ("stationary", "--p", "7", "--s", "0"),
+    # a field above the oracle cap is rejected before anything is written
+    ("constants", "--p", "13", "--verify-oracle", "--cap", "10"),
+    ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--cap", "10"),
+    ("axioms", "--p", "127", "--source", "oracle"),
 ], ids=" ".join)
-def test_invalid_input_exits_1_with_one_line(args):
-    r = run_cli(*args)
+def test_invalid_input_exits_1_with_one_line(args, tmp_path):
+    out = tmp_path / "out"
+    r = run_cli(*args, "--out", str(out))
     assert r.returncode == 1
     assert r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert list(tmp_path.iterdir()) == []

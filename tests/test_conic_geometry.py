@@ -191,6 +191,18 @@ def test_published_f_differs_from_symmetric_form():
     assert diffs  # the stated form is genuinely different
 
 
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2)])
+def test_published_f_is_the_stated_form(p, d):
+    spec = make_field(p, d)
+    els = spec.elements()
+    four = spec.one + spec.one + spec.one + spec.one
+    for i in els:
+        for j in els:
+            for k in els:
+                s = i - j - k
+                assert published_f_discriminant(i, j, k) == i * j - s * s / four
+
+
 def test_intersection_count_examples():
     f7 = make_prime_field(7)
     p7 = ConicParams(f7, 1, 1)

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicwalk import (
     CapExceeded,
@@ -115,6 +118,67 @@ def test_field_axioms_exhaustive(p, d):
                 assert (x + y) + z == x + (y + z)
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
+
+
+# fields whose exhaustive loop is skipped, up to the largest the tables serve
+LARGE_FIELDS = [(31, 1), (127, 1), (1021, 1), (3, 5), (5, 4), (3, 6), (31, 2)]
+
+
+@pytest.fixture(scope="module", params=LARGE_FIELDS, ids=lambda pd: f"{pd[0]}^{pd[1]}")
+def large_field(request):
+    return make_field(*request.param)  # one table build per field, not per example
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_field_axioms_on_random_triples(large_field, data):
+    spec = large_field
+    x, y, z = (spec.element(data.draw(st.integers(0, spec.q - 1))) for _ in range(3))
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == spec.zero
+    if x:
+        assert x * x.inverse() == spec.one
+
+
+@pytest.mark.parametrize("p", [3, 7, 31, 127])
+def test_prime_field_tables_are_residue_arithmetic(p):
+    spec = make_prime_field(p)
+    r = np.arange(p)
+    assert np.array_equal(spec.add_table(), np.add.outer(r, r) % p)
+    assert np.array_equal(spec.mul_table(), np.multiply.outer(r, r) % p)
+
+
+def _poly_mul_reference(u, v, modulus, p):
+    """Schoolbook product of coefficient lists, reduced by the monic modulus."""
+    d = len(modulus) - 1
+    prod = [0] * (2 * d - 1)
+    for s, us in enumerate(u):
+        for t, vt in enumerate(v):
+            prod[s + t] += us * vt
+    for deg in range(2 * d - 2, d - 1, -1):
+        for i in range(d):
+            prod[deg - d + i] -= prod[deg] * modulus[i]
+    return tuple(c % p for c in prod[:d])
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_extension_mul_table_matches_polynomial_product(p, d):
+    spec = make_field(p, d)
+    mul = spec.mul_table()
+    for i in range(spec.q):
+        for j in range(spec.q):
+            want = _poly_mul_reference(spec.coeffs_of(i), spec.coeffs_of(j), spec.modulus, p)
+            assert spec.coeffs_of(int(mul[i, j])) == want
+
+
+@pytest.mark.parametrize("p,d,bad", [(7, 1, 7), (7, 1, -1), (3, 2, 9)])
+def test_element_index_out_of_range_raises(p, d, bad):
+    with pytest.raises(ValueError):
+        make_field(p, d).element(bad)
 
 
 @pytest.mark.parametrize("p,d", SMALL_FIELDS)
