@@ -84,10 +84,8 @@ from .walk_analysis import (
 from .coupling_sim import (
     CouplingStats,
     MonteCarloTV,
-    WalkState,
     coupled_run,
     monte_carlo_tv,
     run_coupling_trials,
-    sample_step,
 )
 from .errata import errata_entries, errata_report

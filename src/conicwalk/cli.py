@@ -2,8 +2,18 @@
 
 Machine-readable CSV/JSON goes to --out (default stdout); human-readable
 summaries go to stderr.  Every output embeds the validated run config.
-Exit codes: 0 success, 1 config error, 2 verification failure, 3 internal
+Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 internal
 assertion.
+
+Each input rule is stated once.  Flag ranges sit on the click options:
+--d, --steps and couple's --trials >= 1, --t and --seed >= 0, mctv's
+--trials >= 1000, --qmin/--qmax in [3, ARITHMETIC_CAP], --eps in
+[1e-12, 1].  The rules that depend on q (an odd prime power within the
+arithmetic cap, weights and class labels in range(q), an enumeration within
+the oracle cap) are the library's.  ``main`` turns every user-caused error
+into exit 1 with one ``error:`` line: an invalid flag, q above the
+arithmetic or oracle cap, a non-ergodic step class, or an unwritable output
+path.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ import click
 from . import __version__
 from .conic_geometry import ClassIndex, ConicParams, ORACLE_CAP
 from .errata import errata_report
-from .errors import ConfigError, ConicwalkError, NotErgodic
-from .finite_field import FieldSpec, make_field
+from .errors import CapExceeded, ConfigError, ConicwalkError, NotErgodic
+from .finite_field import ARITHMETIC_CAP, make_field
 from .hypergroup import build_table, oracle_table, verify_axioms
 from .walk_analysis import (
     haar,
@@ -33,6 +43,7 @@ from .walk_analysis import (
 from .coupling_sim import monte_carlo_tv, run_coupling_trials
 
 EPS_DEFAULT = 1.0 / (2.0 * math.e)  # 0.18393972058572117
+EPS_MIN = 1e-12  # worst-start TV in float64 bottoms out near 4e-15
 
 
 @dataclass
@@ -59,35 +70,15 @@ class RunConfig:
         return out
 
 
-def _field(cfg: RunConfig) -> FieldSpec:
+def _params(cfg: RunConfig) -> ConicParams:
     try:
-        return make_field(cfg.p, cfg.d)
+        spec = make_field(cfg.p, cfg.d)
     except ConicwalkError as e:
         raise ConfigError(f"q must be an odd prime power: {e}") from e
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _check_element(name: str, v: int, q: int) -> None:
-    if not 0 <= v < q:
-        raise ConfigError(f"{name} = {v} is out of range: need 0 <= {name} < q = {q}")
-
-
-def _params(cfg: RunConfig) -> ConicParams:
-    spec = _field(cfg)
-    for name in ("a", "b", "c"):
-        v = getattr(cfg, name)
-        if v is not None:
-            _check_element(f"--{name}", v, spec.q)
     try:
         return ConicParams(spec, cfg.a, cfg.b, cfg.c)
-    except (ValueError, ConicwalkError) as e:
+    except ValueError as e:
         raise ConfigError(f"invalid conic weights: {e}") from e
-
-
-def _check_cap(params: ConicParams, cap: int) -> None:
-    if params.q > cap:
-        raise ConfigError(f"q = {params.q} exceeds the oracle cap {cap}")
 
 
 def _parse_class(label: str, params: ConicParams) -> ClassIndex:
@@ -96,11 +87,15 @@ def _parse_class(label: str, params: ConicParams) -> ClassIndex:
             raise ConfigError("no isotropic class for q = 3 (mod 4)")
         return ClassIndex.isotropic(params.spec)
     try:
-        v = int(label)
+        return ClassIndex.finite(params.spec.element(int(label)))
     except ValueError as e:
         raise ConfigError(f"invalid class label {label!r}: {e}") from e
-    _check_element("class", v, params.q)
-    return ClassIndex.finite(params.spec.element(v))
+
+
+def _walk(cfg: RunConfig):
+    """The conic parameters and the kernel of the step class ``cfg.s``."""
+    params = _params(cfg)
+    return params, kernel_for_step(params, _parse_class(cfg.s, params))
 
 
 def _fmt_float(x: float) -> str:
@@ -116,7 +111,11 @@ def _config_comment(cfg: RunConfig) -> str:
 def _sink(out: str | None):
     """The --out file, or stdout when no path is given."""
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as e:
+            raise ConfigError(f"cannot write {out}: {e.strerror}") from e
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -143,13 +142,33 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _check_eps(ctx, param, value: float) -> float:
+    if not EPS_MIN <= value <= 1:  # also rejects nan
+        raise click.BadParameter(f"{value} is not in the range {EPS_MIN:g}<=x<=1.")
+    return value
+
+
 def field_options(fn):
     fn = click.option("--p", type=int, required=True, help="odd prime characteristic")(fn)
-    fn = click.option("--d", type=int, default=1, show_default=True, help="extension degree")(fn)
+    fn = click.option("--d", type=click.IntRange(min=1), default=1, show_default=True,
+                      help="extension degree")(fn)
     fn = click.option("--a", type=int, default=1, show_default=True)(fn)
     fn = click.option("--b", type=int, default=1, show_default=True)(fn)
     fn = click.option("--c", type=int, default=None, help="override the derived root of a*b")(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="output path (default stdout)")(fn)
+    return fn
+
+
+step_option = click.option("--s", "s", default="1", show_default=True,
+                           help="step class (field value, or 'iso')")
+eps_option = click.option("--eps", type=float, default=EPS_DEFAULT, show_default=True,
+                          callback=_check_eps, help="TV threshold in [1e-12, 1] (default 1/(2e))")
+
+
+def start_seed_options(fn):
+    fn = click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)(fn)
+    fn = click.option("--start", default="0", show_default=True,
+                      help="start class of the fixed chain")(fn)
     return fn
 
 
@@ -176,14 +195,16 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
                     extra={"verify_oracle": verify_oracle,
                            "diagnostic_unsplit": diagnostic_unsplit})
     params = _params(cfg)
-    if verify_oracle or diagnostic_unsplit:
-        _check_cap(params, cap)
+    if diagnostic_unsplit and not params.split:
+        raise ConfigError("--diagnostic-unsplit needs q = 1 (mod 4)")
+    # the table is written before the oracle runs, and no error line may
+    # follow the warning: reject an oversized q here
+    if (verify_oracle or diagnostic_unsplit) and params.q > cap:
+        raise ConfigError(f"q = {params.q} exceeds the oracle cap {cap}")
     if cap > ORACLE_CAP:
         _note(f"warning: enumeration cap raised to {cap}; O(q^4) oracle may be slow")
 
     if diagnostic_unsplit:
-        if not params.split:
-            raise ConfigError("--diagnostic-unsplit needs q = 1 (mod 4)")
         table = oracle_table(params, split=False, cap=cap)
         report = verify_axioms(table)
         _emit_json({"axioms": report.to_json()}, cfg, out)
@@ -219,8 +240,6 @@ def axioms(p, d, a, b, c, out, source):
     cfg = RunConfig(command="axioms", p=p, d=d, a=a, b=b, c=c,
                     extra={"source": source})
     params = _params(cfg)
-    if source == "oracle":
-        _check_cap(params, cfg.cap)
     table = build_table(params, source)
     report = verify_axioms(table)
     _emit_json({"axioms": report.to_json()}, cfg, out)
@@ -231,15 +250,13 @@ def axioms(p, d, a, b, c, out, source):
 
 @cli.command()
 @field_options
-@click.option("--s", "s", default="1", show_default=True,
-              help="step class (field value, or 'iso')")
+@step_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
 def kernel(p, d, a, b, c, out, s, fmt):
     """Dump the walk kernel K(i, j) = n[i, s, j]."""
     cfg = RunConfig(command="kernel", p=p, d=d, a=a, b=b, c=c, s=s, fmt=fmt)
-    params = _params(cfg)
-    k = kernel_for_step(params, _parse_class(cfg.s, params))
+    params, k = _walk(cfg)
     if fmt == "json":
         _emit_json({"kernel": k.to_json_dict()}, cfg, out)
     else:
@@ -254,15 +271,14 @@ def kernel(p, d, a, b, c, out, s, fmt):
 
 @cli.command("stationary")
 @field_options
-@click.option("--s", "s", default="1", show_default=True)
+@step_option
 @click.option("--method", type=click.Choice(["auto", "power", "exact"]), default="auto",
               show_default=True)
 def stationary_cmd(p, d, a, b, c, out, s, method):
     """Stationary distribution versus the class-size (Haar) distribution."""
     cfg = RunConfig(command="stationary", p=p, d=d, a=a, b=b, c=c, s=s,
                     extra={"method": method})
-    params = _params(cfg)
-    k = kernel_for_step(params, _parse_class(cfg.s, params))
+    params, k = _walk(cfg)
     pi = stationary(k, method=method)
     ref = haar(params)
     sup = float(abs(pi.probs - ref.probs).max())
@@ -275,13 +291,10 @@ def stationary_cmd(p, d, a, b, c, out, s, method):
 
 @cli.command()
 @field_options
-@click.option("--s", "s", default="1", show_default=True)
-@click.option("--eps", type=float, default=EPS_DEFAULT, show_default=True,
-              help="TV threshold (default 1/(2e))")
+@step_option
+@eps_option
 def mixing(p, d, a, b, c, out, s, eps):
     """Measured mixing time, proven bound, and the worst-start TV curve."""
-    if not eps > 0:  # also rejects nan
-        raise ConfigError("eps must be positive")
     cfg = RunConfig(command="mixing", p=p, d=d, a=a, b=b, c=c, s=s, eps=eps)
     params = _params(cfg)
     rep = mixing_report(params, _parse_class(cfg.s, params), eps)
@@ -293,17 +306,14 @@ def mixing(p, d, a, b, c, out, s, eps):
 
 @cli.command()
 @field_options
-@click.option("--s", "s", default="1", show_default=True)
-@click.option("--steps", "m", type=int, default=None,
+@step_option
+@click.option("--steps", "m", type=click.IntRange(min=1), default=None,
               help="kernel power (default 4 for q=3 mod 4, 6 for q=1 mod 4)")
 def minorize(p, d, a, b, c, out, s, m):
     """Minimum of K^m / pi against the proven minorization constant."""
-    if m is not None and m < 1:
-        raise ConfigError("--steps must be >= 1")
     cfg = RunConfig(command="minorize", p=p, d=d, a=a, b=b, c=c, s=s,
                     extra={"steps": m})
-    params = _params(cfg)
-    k = kernel_for_step(params, _parse_class(cfg.s, params))
+    params, k = _walk(cfg)
     verdict = minorization_check(k, haar(params), m)
     _emit_json({"minorization": verdict}, cfg, out)
     ref = float(Fraction(verdict["reference"]))
@@ -315,24 +325,17 @@ def minorize(p, d, a, b, c, out, s, m):
 
 @cli.command()
 @field_options
-@click.option("--s", "s", default="1", show_default=True)
-@click.option("--start", default="0", show_default=True, help="start class of the fixed chain")
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@step_option
+@start_seed_options
+@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--hist-out", type=click.Path(), default=None,
               help="coalescence histogram CSV path")
 def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
     """Coupled-walk simulation: coalescence times and empirical tail."""
-    if trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    if seed < 0:
-        raise ConfigError("--seed must be >= 0")
     cfg = RunConfig(command="couple", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "start": start})
-    params = _params(cfg)
-    k = kernel_for_step(params, _parse_class(cfg.s, params))
-    start_class = _parse_class(start, params)
-    stats = run_coupling_trials(k, haar(params), start_class, trials, seed)
+    params, k = _walk(cfg)
+    stats = run_coupling_trials(k, haar(params), _parse_class(start, params), trials, seed)
     _emit_json({"coupling": stats.to_json()}, cfg, out)
     if hist_out:
         tail = stats.tail_curve()
@@ -346,45 +349,34 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
 
 @cli.command()
 @field_options
-@click.option("--s", "s", default="1", show_default=True)
-@click.option("--start", default="0", show_default=True)
-@click.option("--t", "t", type=int, default=8, show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@step_option
+@start_seed_options
+@click.option("--t", "t", type=click.IntRange(min=0), default=8, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1000), default=100_000, show_default=True)
 def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
-    if trials < 1000:
-        raise ConfigError("--trials must be >= 1000")
-    if seed < 0:
-        raise ConfigError("--seed must be >= 0")
-    if t < 0:
-        raise ConfigError("--t must be >= 0")
     cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "t": t, "start": start})
-    params = _params(cfg)
-    k = kernel_for_step(params, _parse_class(cfg.s, params))
-    start_class = _parse_class(start, params)
-    est = monte_carlo_tv(start_class, t, trials, seed, k, haar(params))
+    params, k = _walk(cfg)
+    est = monte_carlo_tv(_parse_class(start, params), t, trials, seed, k, haar(params))
     _emit_json({"monte_carlo_tv": est.to_json()}, cfg, out)
     _note(f"mc tv q={params.q} t={t}: {est.estimate:.5f} "
           f"[{est.ci_low:.5f}, {est.ci_high:.5f}]")
 
 
 @cli.command()
-@click.option("--qmin", type=int, default=7, show_default=True)
-@click.option("--qmax", type=int, default=199, show_default=True)
+@click.option("--qmin", type=click.IntRange(3, ARITHMETIC_CAP), default=7, show_default=True)
+@click.option("--qmax", type=click.IntRange(3, ARITHMETIC_CAP), default=199, show_default=True)
 @click.option("--branch", type=click.Choice(["both", "1", "3"]), default="both",
               show_default=True)
-@click.option("--eps", type=float, default=EPS_DEFAULT, show_default=True)
+@eps_option
 @click.option("--out", type=click.Path(), default=None)
 def scan(qmin, qmax, branch, eps, out):
     """Sweep all admissible odd prime powers: tau, bound, minorization per q."""
     cfg = RunConfig(command="scan", eps=eps,
                     extra={"qmin": qmin, "qmax": qmax, "branch": branch})
-    if qmin < 3 or qmax < qmin:
-        raise ConfigError("need 3 <= qmin <= qmax")
-    if not eps > 0:  # also rejects nan
-        raise ConfigError("eps must be positive")
+    if qmax < qmin:
+        raise ConfigError("need qmin <= qmax")
     ratios = []
 
     def rows():
@@ -429,7 +421,8 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as e:
         return int(e.code or 0)
-    except (ConfigError, NotErgodic, click.ClickException, click.exceptions.Abort) as e:
+    except (ConfigError, NotErgodic, CapExceeded, click.ClickException,
+            click.exceptions.Abort) as e:
         msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -13,8 +13,8 @@ t under seed s is (z >> 11) * 2^-53 for z the SplitMix64 output number
 A coupling trial meeting at step T draws the stationary start with uniform 0,
 steps n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
 T + n; step n of an MC-TV trial uses n - 1.  Draws depend only on (s, t), so
-batches are reproducible and order-independent.  The MC-TV bootstrap and
-``WalkState`` use numpy's PCG64.
+batches are reproducible and order-independent.  The MC-TV bootstrap uses
+numpy's PCG64.
 """
 
 from __future__ import annotations
@@ -117,27 +117,6 @@ class _Lockstep:
             times[hit] = t
             met[hit] = True
             walking = walking[xs != ys]
-
-
-@dataclass
-class WalkState:
-    """Mutable walk position plus its deterministic generator."""
-
-    current: ClassIndex
-    steps: int
-    rng: np.random.Generator
-
-    @classmethod
-    def start(cls, at: ClassIndex, seed) -> "WalkState":
-        return cls(current=at, steps=0, rng=_rng(seed))
-
-
-def sample_step(state: WalkState, k: Kernel) -> ClassIndex:
-    """Advance one step: the first class whose row CDF exceeds a uniform."""
-    cdf = _cdf(k.mat[k.position(state.current)])
-    state.current = k.classes[int(cdf.searchsorted(state.rng.random(), side="right"))]
-    state.steps += 1
-    return state.current
 
 
 def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed,

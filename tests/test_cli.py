@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 CLI = [sys.executable, "-m", "conicwalk.cli"]
 DATA = Path(__file__).parent / "data"
@@ -288,12 +292,102 @@ def test_minorize_reports_exact_zero():
     ("constants", "--p", "13", "--verify-oracle", "--cap", "10"),
     ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--cap", "10"),
     ("axioms", "--p", "127", "--source", "oracle"),
+    # flag ranges past which a run used to fail late, or exit 0 with bad output
+    ("scan", "--qmin", "7", "--qmax", "1100"),
+    ("mixing", "--p", "7", "--eps", "1e-300"),
+    ("mixing", "--p", "7", "--eps", "inf"),
+    ("kernel", "--p", "7", "--d", "0"),
+    # the later --out wins: a missing subdirectory of tmp_path
+    ("kernel", "--p", "7", "--out", "{tmp}/missing/out"),
 ], ids=" ".join)
 def test_invalid_input_exits_1_with_one_line(args, tmp_path):
     out = tmp_path / "out"
-    r = run_cli(*args, "--out", str(out))
+    r = run_cli(args[0], "--out", str(out), *(a.format(tmp=tmp_path) for a in args[1:]))
     assert r.returncode == 1
     assert r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_hist_out_exits_1_with_one_line(tmp_path):
+    r = run_cli("couple", "--p", "7", "--trials", "10",
+                "--hist-out", str(tmp_path / "missing" / "h.csv"))
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: subcommands with valid and invalid flag values, run in-process
+# ---------------------------------------------------------------------------
+
+CLASS_LABELS = ["0", "1", "2", "8", "-1", "iso", "x"]
+EPS_VALUES = ["1e-300", "1e-12", "0.18", "1", "1.5", "0", "-0.5", "nan", "inf"]
+
+
+@st.composite
+def cli_argv(draw):
+    def opt(flag, values):
+        return [flag, str(draw(st.sampled_from(values)))] if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(["constants", "axioms", "kernel", "stationary", "mixing",
+                                "minorize", "couple", "mctv", "scan"]))
+    if cmd == "scan":  # --qmax is always given: the default scan runs for seconds
+        return [cmd, *opt("--qmin", [-1, 3, 7, 29, 1025]),
+                "--qmax", str(draw(st.sampled_from([2, 5, 13, 31, 1100]))),
+                *opt("--branch", ["both", "1", "3", "2"]), *opt("--eps", EPS_VALUES)]
+    # half the draws name a field outright, so that runs get past the field check
+    p, d = draw(st.one_of(st.sampled_from([(7, 1), (13, 1), (7, 2), (13, 2)]),
+                          st.tuples(st.sampled_from([-1, 0, 2, 4, 7, 9, 13]),
+                                    st.sampled_from([-1, 0, 1, 2]))))
+    # the closed-form table of GF(169) has 4.9M entries and takes seconds
+    assume(not (cmd == "constants" and (p, d) == (13, 2)))
+    argv = [cmd, "--p", str(p), "--d", str(d),
+            *opt("--a", [-1, 0, 1, 2, 3, 8]), *opt("--b", [1, 3, 4]), *opt("--c", [0, 1, 6])]
+    if cmd == "constants":
+        argv += [*opt("--format", ["csv", "json"]), *opt("--cap", [10, 125])]
+        argv += draw(st.sampled_from([[], ["--verify-oracle"], ["--diagnostic-unsplit"]]))
+        return argv
+    if cmd == "axioms":
+        return argv + opt("--source", ["closed-form", "oracle"])
+    argv += opt("--s", CLASS_LABELS)
+    argv += {
+        "kernel": lambda: opt("--format", ["csv", "json", "xml"]),
+        "stationary": lambda: opt("--method", ["auto", "power", "exact"]),
+        "mixing": lambda: opt("--eps", EPS_VALUES),
+        "minorize": lambda: opt("--steps", [-1, 0, 1, 6]),
+        "couple": lambda: opt("--hist-out", ["{tmp}/h.csv"]),
+        "mctv": lambda: opt("--t", [-1, 0, 3, 50]),
+    }[cmd]()
+    if cmd in ("couple", "mctv"):  # --trials is always given: the default is 100,000
+        trials = [0, 1, 500, 2000] if cmd == "couple" else [10, 999, 1000, 2000]
+        argv += ["--trials", str(draw(st.sampled_from(trials))),
+                 *opt("--start", CLASS_LABELS), *opt("--seed", [-1, 0, 42])]
+    return argv
+
+
+def _no_json_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argv(), st.sampled_from(["out", "missing/out"]))
+def test_cli_fuzz_exit_codes_and_outputs(argv, out_name):
+    from conicwalk import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / out_name
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([a.format(tmp=tmp) for a in argv] + ["--out", str(out)])
+        assert rc in (0, 1, 2), (rc, err.getvalue())
+        if rc == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            assert not out.exists()
+        for path in tmp.rglob("*"):
+            text = path.read_text()
+            if not text.startswith("#"):  # a CSV starts with its config line
+                json.loads(text, parse_constant=_no_json_constants)

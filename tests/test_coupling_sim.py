@@ -9,7 +9,6 @@ from conicwalk import (
     ConicParams,
     Distribution,
     NotErgodic,
-    WalkState,
     coupled_run,
     evolve,
     haar,
@@ -17,7 +16,6 @@ from conicwalk import (
     make_prime_field,
     monte_carlo_tv,
     run_coupling_trials,
-    sample_step,
     tv_distance,
 )
 
@@ -38,61 +36,6 @@ def setup13():
 
 def _cls(spec, v):
     return ClassIndex.finite(spec.element(v))
-
-
-# ---------------------------------------------------------------------------
-# sample_step
-# ---------------------------------------------------------------------------
-
-def test_identity_kernel_keeps_state():
-    params = ConicParams(make_prime_field(7), 1, 1)
-    k0 = kernel_for_step(params, _cls(params.spec, 0))
-    state = WalkState.start(_cls(params.spec, 3), seed=1)
-    for _ in range(25):
-        assert sample_step(state, k0) == _cls(params.spec, 3)
-
-
-def test_fixed_seed_reproduces_trajectory(setup7):
-    _, k, _ = setup7
-    runs = []
-    for _ in range(2):
-        state = WalkState.start(k.classes[0], seed=42)
-        runs.append([sample_step(state, k).label() for _ in range(200)])
-    assert runs[0] == runs[1]
-    other = WalkState.start(k.classes[0], seed=43)
-    assert [sample_step(other, k).label() for _ in range(200)] != runs[0]
-
-
-def test_step_frequencies_from_origin_class(setup7):
-    # the origin-class row is a point mass on the step class
-    params, k, _ = setup7
-    state = WalkState.start(_cls(params.spec, 0), seed=5)
-    draws = 10**6
-    one = _cls(params.spec, 1)
-    hits = 0
-    for _ in range(draws):
-        state.current = _cls(params.spec, 0)
-        hits += sample_step(state, k) == one
-    assert hits == draws
-
-
-def test_step_frequencies_match_row_within_4_sigma(setup7):
-    params, k, _ = setup7
-    start = _cls(params.spec, 1)
-    draws = 200_000
-    state = WalkState.start(start, seed=99)
-    counts = np.zeros(k.size)
-    for _ in range(draws):
-        state.current = start
-        counts[k.position(sample_step(state, k))] += 1
-    row = k.mat[k.position(start)]
-    for j in range(k.size):
-        p = row[j]
-        sigma = np.sqrt(p * (1 - p) * draws)
-        if sigma == 0:
-            assert counts[j] == p * draws
-        else:
-            assert abs(counts[j] - p * draws) <= 4 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +123,13 @@ def test_monte_carlo_tv_requires_enough_trials(setup7):
     _, k, pi = setup7
     with pytest.raises(ValueError):
         monte_carlo_tv(k.classes[0], 4, 100, 0, k, pi)
+
+
+def test_monte_carlo_tv_one_step_from_origin_lands_on_step_class(setup7):
+    # the origin-class row is a point mass on the step class
+    params, k, pi = setup7
+    est = monte_carlo_tv(_cls(params.spec, 0), 1, 2000, 5, k, pi)
+    assert est.counts[k.position(k.step)] == 2000
 
 
 def test_monte_carlo_tv_t0_is_exact(setup7):
