@@ -13,14 +13,17 @@ arithmetic cap, weights and class labels in range(q), an enumeration within
 the oracle cap) are the library's.  ``main`` turns every user-caused error
 into exit 1 with one ``error:`` line: an invalid flag, q above the
 arithmetic or oracle cap, a non-ergodic step class, or an unwritable output
-path.
+path.  A command with two output paths checks both before it writes either,
+so exit 1 leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -107,6 +110,21 @@ def _config_comment(cfg: RunConfig) -> str:
     return f"# conicwalk {__version__} {items}"
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail as opening each given output path would, before any is written;
+    no path is created."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        try:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            os.stat(os.path.join(parent, ""))  # the trailing "/" needs a directory
+            if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+
+
 @contextlib.contextmanager
 def _sink(out: str | None):
     """The --out file, or stdout when no path is given."""
@@ -127,14 +145,18 @@ def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(header: list[str], rows, cfg: RunConfig, out: str | None) -> None:
-    """Stream the rows, flushing every line, so a run that stops early keeps
-    the rows written before it stopped."""
+def _csv_line(row) -> str:
+    return ",".join(str(v) for v in row) + "\n"
+
+
+def _emit_csv(header: list[str], chunks, cfg: RunConfig, out: str | None) -> None:
+    """Write the header, then each text chunk of CSV lines, flushing after
+    each chunk, so a run that stops early keeps the chunks written before."""
     with _sink(out) as fh:
-        fh.write(_config_comment(cfg) + "\n" + ",".join(header) + "\n")
+        fh.write(_config_comment(cfg) + "\n" + _csv_line(header))
         fh.flush()
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
             fh.flush()
 
 
@@ -197,11 +219,14 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
     params = _params(cfg)
     if diagnostic_unsplit and not params.split:
         raise ConfigError("--diagnostic-unsplit needs q = 1 (mod 4)")
-    # the table is written before the oracle runs, and no error line may
-    # follow the warning: reject an oversized q here
-    if (verify_oracle or diagnostic_unsplit) and params.q > cap:
+    runs_oracle = verify_oracle or diagnostic_unsplit
+    # the table is written before the oracle runs: reject an oversized q here
+    if runs_oracle and params.q > cap:
         raise ConfigError(f"q = {params.q} exceeds the oracle cap {cap}")
-    if cap > ORACLE_CAP:
+    errata_path = errata_out or (f"{out}.errata.json" if out else "errata.json")
+    _check_writable(out, errata_path if verify_oracle and not diagnostic_unsplit else None)
+    # after every input check, so that no error line follows the warning
+    if runs_oracle and cap > ORACLE_CAP:
         _note(f"warning: enumeration cap raised to {cap}; O(q^4) oracle may be slow")
 
     if diagnostic_unsplit:
@@ -217,18 +242,17 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
         _emit_json({"table": table.to_json_dict()}, cfg, out)
     else:
         _emit_csv(["i", "j", "k", "num", "den", "N_i", "N_j"],
-                  table.to_csv_rows(), cfg, out)
+                  table.csv_blocks(), cfg, out)
 
     if verify_oracle:
         oracle = oracle_table(params, cap=cap)
         fresh = table.mismatches(oracle)
-        path = errata_out or (f"{out}.errata.json" if out else "errata.json")
-        _emit_json(errata_report(fresh), cfg, path)
+        _emit_json(errata_report(fresh), cfg, errata_path)
         if fresh:
-            _note(f"oracle mismatch: {len(fresh)} differing triples; see {path}")
+            _note(f"oracle mismatch: {len(fresh)} differing triples; see {errata_path}")
             raise SystemExit(2)
         _note(f"oracle equivalence verified on all {table.size ** 3} triples; "
-              f"errata report written to {path}")
+              f"errata report written to {errata_path}")
 
 
 @cli.command()
@@ -260,12 +284,13 @@ def kernel(p, d, a, b, c, out, s, fmt):
     if fmt == "json":
         _emit_json({"kernel": k.to_json_dict()}, cfg, out)
     else:
-        rows = []
-        for i, ci in enumerate(k.classes):
-            for j, cj in enumerate(k.classes):
-                v = k.rat[i][j]
-                rows.append((ci.label(), cj.label(), v.numerator, v.denominator))
-        _emit_csv(["i", "j", "num", "den"], rows, cfg, out)
+        labels = [c.label() for c in k.classes]
+        chunks = (
+            "".join(_csv_line((li, lj, v.numerator, v.denominator))
+                    for lj, v in zip(labels, row))
+            for li, row in zip(labels, k.rat)
+        )
+        _emit_csv(["i", "j", "num", "den"], chunks, cfg, out)
     _note(f"kernel q={params.q} step={s}: {k.size}x{k.size} rows exact-stochastic")
 
 
@@ -336,14 +361,15 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
                     extra={"trials": trials, "start": start})
     params, k = _walk(cfg)
     stats = run_coupling_trials(k, haar(params), _parse_class(start, params), trials, seed)
+    _check_writable(out, hist_out)
     _emit_json({"coupling": stats.to_json()}, cfg, out)
     if hist_out:
         tail = stats.tail_curve()
         hist = [0] * (max(stats.times) + 1)
         for t in stats.times:
             hist[t] += 1
-        rows = [(t, hist[t], _fmt_float(tail[t])) for t in range(len(hist))]
-        _emit_csv(["t", "count", "empirical_tail"], rows, cfg, hist_out)
+        lines = [_csv_line((t, hist[t], _fmt_float(tail[t]))) for t in range(len(hist))]
+        _emit_csv(["t", "count", "empirical_tail"], ["".join(lines)], cfg, hist_out)
     _note(f"coupling q={params.q}: {trials} trials, mean T = {stats.mean_time:.2f}")
 
 
@@ -386,9 +412,9 @@ def scan(qmin, qmax, branch, eps, out):
             rep = mixing_report(ConicParams(make_field(p, d), 1, 1), eps=eps)
             ratios.append(rep.tau / q)
             num, den = rep.minorization_reference.split("/")
-            yield (q, rep.branch, rep.class_count, rep.tau, rep.tau_bound,
-                   _fmt_float(rep.minorization_measured), _fmt_float(int(num) / int(den)),
-                   _fmt_float(ratios[-1]))
+            yield _csv_line((q, rep.branch, rep.class_count, rep.tau, rep.tau_bound,
+                             _fmt_float(rep.minorization_measured),
+                             _fmt_float(int(num) / int(den)), _fmt_float(ratios[-1])))
             if rep.tau > rep.tau_bound:
                 _note(f"q={q}: tau {rep.tau} exceeds bound {rep.tau_bound}")
                 raise SystemExit(2)

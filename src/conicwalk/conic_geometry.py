@@ -325,6 +325,29 @@ def predicted_intersection_table(params: ConicParams) -> np.ndarray:
     return pred
 
 
+def _check_centre_pairs(
+    grid: np.ndarray, pred: np.ndarray, x: int, ys: np.ndarray
+) -> tuple[int, list[tuple]]:
+    """Compare the intersection histograms of the centre pairs (x, y), y in
+    ``ys``, with ``pred``: (pairs with nonzero separation, mismatches)."""
+    q = pred.shape[0]
+    offsets = np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
+    keys = grid[x][None, :] * q + grid[ys] + offsets
+    counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
+    counts = counts.reshape(len(ys), q, q)
+    k_vals = grid[x, ys]
+    valid = k_vals != 0
+    measured = counts[valid][:, 1:, 1:]
+    expected = pred[1:, 1:, :][:, :, k_vals[valid]].transpose(2, 0, 1)
+    y_sel = ys[valid]
+    mismatches = [
+        (x, int(y_sel[r]), int(ii + 1), int(jj + 1),
+         int(measured[r, ii, jj]), int(expected[r, ii, jj]))
+        for r, ii, jj in np.argwhere(measured != expected)[:20]
+    ]
+    return int(valid.sum()), mismatches
+
+
 def verify_intersection_trichotomy(
     params: ConicParams,
     exhaustive_cap: int = EXHAUSTIVE_CENTER_CAP,
@@ -334,49 +357,52 @@ def verify_intersection_trichotomy(
     """Check measured pairwise circle intersections against the trichotomy.
 
     For q <= ``exhaustive_cap`` every unordered centre pair X != Y with
-    nonzero separation quadrance is checked against every nonzero (i, j);
-    larger fields check a seeded sample of centre pairs.  Returns a summary
-    dict with the number of centre pairs checked and any mismatches.
+    nonzero separation quadrance is checked against every nonzero (i, j).
+    Since Q(X, Z) = Q(0, Z - X), the pair (X, Y) has the same intersection
+    histogram as (0, Y - X): the check verifies that translation identity on
+    the whole quadrance grid, then compares the q^2 - 1 histograms of the
+    pairs (0, D) with the prediction, each standing for the q^2 pairs
+    (X, X + D).  Larger fields check a seeded sample of centre pairs.
+
+    Returns a summary dict with the number of unordered centre pairs checked
+    and any mismatches.  A histogram mismatch is (x, y, i, j, measured,
+    predicted) for the centre point ids x and y, as in
+    ``quadrance_value_grid``.  A grid entry that breaks the translation
+    identity is reported as ("translation", x, z, grid[x, z],
+    grid[0, z - x]), and then no pair counts as checked.
     """
     q = params.q
+    n_pts = q * q
     grid = quadrance_value_grid(params).astype(np.int64)
     pred = predicted_intersection_table(params)
-    n_pts = q * q
-    mismatches: list[tuple] = []
-    pairs_checked = 0
-    offsets = np.arange(n_pts, dtype=np.int64) * (q * q)
 
     if q <= exhaustive_cap:
-        batches = ((x, np.arange(x + 1, n_pts)) for x in range(n_pts))
+        spec = params.spec
+        add = spec.add_table()
+        neg = spec.mul_table()[spec.p - 1]  # multiplication by -1, whose index is p - 1
+        px, py = np.divmod(np.arange(n_pts), q)  # coordinates of each point id
+        # the point id of z - x, for every pair of point ids (x, z)
+        diff = add[neg[px][:, None], px[None, :]] * q + add[neg[py][:, None], py[None, :]]
+        broken = np.argwhere(grid != grid[0, diff])
+        if len(broken):
+            x, z = broken[0].tolist()
+            pairs_checked = 0
+            mismatches = [("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))]
+        else:
+            pairs, mismatches = _check_centre_pairs(grid, pred, 0, np.arange(1, n_pts))
+            # D and -D stand for the same unordered pairs
+            pairs_checked = n_pts * pairs // 2
     else:
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, n_pts, size=sample_centers)
         others = rng.integers(0, n_pts, size=sample_centers)
-        batches = (
-            (int(x), np.array([int(y)])) for x, y in zip(starts, others) if x != y
-        )
-
-    for x, ys in batches:
-        if len(ys) == 0:
-            continue
-        keys = grid[x][None, :] * q + grid[ys] + offsets[: len(ys), None]
-        counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
-        counts = counts.reshape(len(ys), q, q)
-        k_vals = grid[x, ys]
-        valid = k_vals != 0
-        if not valid.any():
-            continue
-        measured = counts[valid][:, 1:, 1:]
-        expected = pred[1:, 1:, :][:, :, k_vals[valid]].transpose(2, 0, 1)
-        pairs_checked += int(valid.sum())
-        if not np.array_equal(measured, expected):
-            bad = np.argwhere(measured != expected)
-            y_sel = ys[valid]
-            for r, ii, jj in bad[:20]:
-                mismatches.append(
-                    (int(x), int(y_sel[r]), int(ii + 1), int(jj + 1),
-                     int(measured[r, ii, jj]), int(expected[r, ii, jj]))
-                )
+        pairs_checked = 0
+        mismatches = []
+        for x, y in zip(starts.tolist(), others.tolist()):
+            if x != y:
+                pairs, bad = _check_centre_pairs(grid, pred, x, np.array([y]))
+                pairs_checked += pairs
+                mismatches += bad
     return {
         "q": q,
         "pairs_checked": pairs_checked,

@@ -145,6 +145,18 @@ class StructureTable:
                 for lk, num, den in zip(labels, nums[i][j], dens[i][j]):
                     yield (li, lj, lk, num, den, self.sizes[i], self.sizes[j])
 
+    def csv_blocks(self):
+        """The rows of ``to_csv_rows`` as CSV text, one block per i plane."""
+        labels = [c.label() for c in self.classes]
+        nums, dens = self._reduced()
+        for i, li in enumerate(labels):
+            lines = []
+            for j, lj in enumerate(labels):
+                pre, suf = f"{li},{lj},", f",{self.sizes[i]},{self.sizes[j]}\n"
+                lines += [f"{pre}{lk},{num},{den}{suf}"
+                          for lk, num, den in zip(labels, nums[i][j], dens[i][j])]
+            yield "".join(lines)
+
     def to_json_dict(self) -> dict:
         nums, dens = self._reduced()
         return {

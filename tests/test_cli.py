@@ -19,6 +19,17 @@ def run_cli(*args, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd)
 
 
+def run_main(*args):
+    """``cli.main`` in this process, with the text written to stdout and
+    stderr captured, in the shape of ``run_cli``'s result."""
+    from conicwalk import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(args))
+    return subprocess.CompletedProcess(list(args), rc, out.getvalue(), err.getvalue())
+
+
 def test_constants_verify_oracle_ok(tmp_path):
     out = tmp_path / "t7.csv"
     r = run_cli("constants", "--p", "7", "--a", "1", "--b", "1",
@@ -35,7 +46,7 @@ def test_constants_verify_oracle_ok(tmp_path):
 
 def test_constants_json_format(tmp_path):
     out = tmp_path / "t5.json"
-    r = run_cli("constants", "--p", "5", "--format", "json", "--out", str(out))
+    r = run_main("constants", "--p", "5", "--format", "json", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["p"] == 5
@@ -50,19 +61,19 @@ def test_invalid_field_exits_1():
 
 
 def test_invalid_weights_exit_1():
-    r = run_cli("constants", "--p", "7", "--a", "1", "--b", "3")
+    r = run_main("constants", "--p", "7", "--a", "1", "--b", "3")
     assert r.returncode == 1
     assert "not a square" in r.stderr
 
 
 def test_unknown_flag_exits_1():
-    r = run_cli("constants", "--p", "7", "--bogus")
+    r = run_main("constants", "--p", "7", "--bogus")
     assert r.returncode == 1
 
 
 def test_diagnostic_unsplit_gf13(tmp_path):
     out = tmp_path / "unsplit.json"
-    r = run_cli("constants", "--p", "13", "--diagnostic-unsplit", "--out", str(out))
+    r = run_main("constants", "--p", "13", "--diagnostic-unsplit", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["axioms"]["hermitian_support"] is False
@@ -70,20 +81,20 @@ def test_diagnostic_unsplit_gf13(tmp_path):
 
 
 def test_diagnostic_unsplit_wrong_branch():
-    r = run_cli("constants", "--p", "7", "--diagnostic-unsplit")
+    r = run_main("constants", "--p", "7", "--diagnostic-unsplit")
     assert r.returncode == 1
 
 
 def test_axioms_pass(tmp_path):
     out = tmp_path / "ax.json"
-    r = run_cli("axioms", "--p", "13", "--out", str(out))
+    r = run_main("axioms", "--p", "13", "--out", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["axioms"]["all_pass"] is True
 
 
 def test_kernel_dump(tmp_path):
     out = tmp_path / "k.json"
-    r = run_cli("kernel", "--p", "13", "--s", "1", "--out", str(out))
+    r = run_main("kernel", "--p", "13", "--s", "1", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert len(payload["kernel"]["rows"]) == 14
@@ -92,7 +103,7 @@ def test_kernel_dump(tmp_path):
 
 def test_stationary_matches_haar(tmp_path):
     out = tmp_path / "st.json"
-    r = run_cli("stationary", "--p", "13", "--out", str(out))
+    r = run_main("stationary", "--p", "13", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["sup_diff"] <= 1e-12
@@ -100,7 +111,7 @@ def test_stationary_matches_haar(tmp_path):
 
 def test_mixing_report(tmp_path):
     out = tmp_path / "mix.json"
-    r = run_cli("mixing", "--p", "7", "--eps", "0.1839397", "--out", str(out))
+    r = run_main("mixing", "--p", "7", "--eps", "0.1839397", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["mixing"]["tau_bound"] == 96
@@ -109,7 +120,7 @@ def test_mixing_report(tmp_path):
 
 def test_minorize_gf13(tmp_path):
     out = tmp_path / "min.json"
-    r = run_cli("minorize", "--p", "13", "--steps", "6", "--out", str(out))
+    r = run_main("minorize", "--p", "13", "--steps", "6", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["minorization"]["reference"] == "1/39"
@@ -130,7 +141,7 @@ def test_couple_and_histogram(tmp_path):
 
 def test_scan_small_range(tmp_path):
     out = tmp_path / "scan.csv"
-    r = run_cli("scan", "--qmin", "7", "--qmax", "29", "--out", str(out))
+    r = run_main("scan", "--qmin", "7", "--qmax", "29", "--out", str(out))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().splitlines()
     header = lines[1].split(",")
@@ -164,7 +175,7 @@ def test_scan_failure_keeps_rows_written_before_it(tmp_path, monkeypatch):
 
 def test_scan_branch_filter(tmp_path):
     out = tmp_path / "scan3.csv"
-    r = run_cli("scan", "--qmin", "7", "--qmax", "30", "--branch", "3", "--out", str(out))
+    r = run_main("scan", "--qmin", "7", "--qmax", "30", "--branch", "3", "--out", str(out))
     assert r.returncode == 0
     qs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
     assert qs == [7, 11, 19, 23, 27]
@@ -185,8 +196,8 @@ def test_outputs_byte_identical_across_runs(tmp_path):
 
 def test_mctv_command(tmp_path):
     out = tmp_path / "mc.json"
-    r = run_cli("mctv", "--p", "7", "--t", "2", "--trials", "2000",
-                "--seed", "5", "--out", str(out))
+    r = run_main("mctv", "--p", "7", "--t", "2", "--trials", "2000",
+                 "--seed", "5", "--out", str(out))
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert 0 <= payload["monte_carlo_tv"]["ci_low"] <= payload["monte_carlo_tv"]["ci_high"] <= 1
@@ -219,7 +230,7 @@ GOLDEN_STDOUT = {
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=" ".join)
 def test_outputs_match_recorded_digests(args):
-    r = run_cli(*args)
+    r = run_main(*args)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]
 
@@ -251,7 +262,7 @@ def _assert_matches(got, want):
 
 @pytest.mark.parametrize("args", list(GOLDEN_FLOAT_STDOUT), ids=" ".join)
 def test_float_outputs_match_recorded_values(args):
-    r = run_cli(*args)
+    r = run_main(*args)
     assert r.returncode == 0, r.stderr
     recorded = (DATA / GOLDEN_FLOAT_STDOUT[args]).read_text()
     if args[0] != "scan":
@@ -266,7 +277,7 @@ def test_float_outputs_match_recorded_values(args):
 
 
 def test_minorize_reports_exact_zero():
-    r = run_cli("minorize", "--p", "7", "--steps", "1")
+    r = run_main("minorize", "--p", "7", "--steps", "1")
     assert r.returncode == 0, r.stderr
     m = json.loads(r.stdout)["minorization"]
     assert m["measured"] == 0.0
@@ -299,10 +310,17 @@ def test_minorize_reports_exact_zero():
     ("kernel", "--p", "7", "--d", "0"),
     # the later --out wins: a missing subdirectory of tmp_path
     ("kernel", "--p", "7", "--out", "{tmp}/missing/out"),
+    # a second output path that cannot be written: the --out file is not kept
+    ("couple", "--p", "7", "--trials", "10", "--hist-out", "{tmp}/missing/h.csv"),
+    ("constants", "--p", "7", "--verify-oracle", "--errata-out", "{tmp}/missing/e.json"),
+    # a raised oracle cap warns only after every input check has passed
+    ("constants", "--p", "7", "--cap", "200", "--verify-oracle",
+     "--out", "{tmp}/missing/out"),
+    ("constants", "--p", "7", "--cap", "200", "--out", "{tmp}/missing/out"),
 ], ids=" ".join)
 def test_invalid_input_exits_1_with_one_line(args, tmp_path):
     out = tmp_path / "out"
-    r = run_cli(args[0], "--out", str(out), *(a.format(tmp=tmp_path) for a in args[1:]))
+    r = run_main(args[0], "--out", str(out), *(a.format(tmp=tmp_path) for a in args[1:]))
     assert r.returncode == 1
     assert r.stdout == ""
     lines = r.stderr.splitlines()
@@ -316,6 +334,67 @@ def test_unwritable_hist_out_exits_1_with_one_line(tmp_path):
     assert r.returncode == 1
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    # the paths are checked before the JSON goes to stdout
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args,warns", [
+    (("constants", "--p", "7", "--cap", "200"), False),
+    (("constants", "--p", "7", "--cap", "200", "--verify-oracle"), True),
+    (("constants", "--p", "13", "--cap", "200", "--diagnostic-unsplit"), True),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_raised_cap_warns_only_when_an_oracle_runs(args, warns, tmp_path):
+    out = tmp_path / "out"
+    r = run_main(*args, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    warning = "warning: enumeration cap raised to 200; O(q^4) oracle may be slow"
+    assert (r.stderr.splitlines()[:1] == [warning]) is warns, r.stderr
+    assert r.stderr.count("warning:") == warns
+
+
+def test_interrupted_scan_keeps_rows_written_before_it(tmp_path, monkeypatch):
+    from conicwalk import cli
+
+    real = cli.mixing_report
+
+    def interrupted_at_11(params, **kw):
+        if params.q == 11:
+            raise KeyboardInterrupt
+        return real(params, **kw)
+
+    monkeypatch.setattr(cli, "mixing_report", interrupted_at_11)
+    out = tmp_path / "scan.csv"
+    run_main("scan", "--qmin", "7", "--qmax", "13", "--out", str(out))
+    qs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
+    assert qs == [7, 9]
+
+
+def test_output_is_written_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "c.json"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    r = run_main("couple", "--p", "7", "--trials", "200", "--seed", "1", "--out", str(link))
+    assert r.returncode == 0, r.stderr
+    assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o640
+    assert json.loads(target.read_text())["coupling"]["trials"] == 200
+
+
+def test_output_under_a_file_exits_1_before_any_write(tmp_path):
+    (tmp_path / "f").write_text("")
+    hist = tmp_path / "f" / "h.csv"
+    r = run_main("couple", "--p", "7", "--trials", "10",
+                 "--out", str(tmp_path / "c.json"), "--hist-out", str(hist))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: cannot write {hist}: Not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_output_path_that_is_a_directory_exits_1(tmp_path):
+    r = run_main("kernel", "--p", "7", "--out", str(tmp_path))
+    assert r.returncode == 1
+    assert r.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conicwalk import (
@@ -20,6 +22,7 @@ from conicwalk import (
     quadrance,
     verify_intersection_trichotomy,
 )
+from conicwalk import conic_geometry
 from conicwalk.errata import published_f_discriminant
 
 from conftest import TEST_FIELDS, smallest_nonsquare, smallest_square_above_one
@@ -252,6 +255,68 @@ def test_intersection_trichotomy_exhaustive_small(p, d, ab):
     result = verify_intersection_trichotomy(ConicParams(spec, *ab))
     assert result["ok"], result["mismatches"][:5]
     assert result["pairs_checked"] > 0
+
+
+# unordered centre pairs X != Y with Q(X, Y) != 0, at a = b = 1, as counted
+# by the pair-by-pair check that preceded the translation-class one
+TRICHOTOMY_PAIRS = {(5, 2): 180000, (3, 3): 265356, (29, 1): 329672, (31, 1): 461280}
+
+
+@pytest.mark.parametrize("p,d", list(TRICHOTOMY_PAIRS))
+def test_intersection_trichotomy_pairs_checked(p, d):
+    result = verify_intersection_trichotomy(ConicParams(make_field(p, d), 1, 1))
+    assert result["ok"], result["mismatches"][:5]
+    assert result["pairs_checked"] == TRICHOTOMY_PAIRS[(p, d)]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("p,d", [(5, 2), (3, 3)])
+def test_intersection_trichotomy_exhaustive_at_seeded_weights(p, d, seed):
+    spec = make_field(p, d)
+    rng = random.Random(seed)
+    a, s = rng.randrange(2, spec.q), rng.randrange(1, spec.q)
+    params = ConicParams(spec, a, spec.mul_idx(a, spec.mul_idx(s, s)))
+    result = verify_intersection_trichotomy(params)
+    assert result["ok"], result["mismatches"][:5]
+    # the isotropic points, hence the pairs at quadrance 0, do not depend on the weights
+    assert result["pairs_checked"] == TRICHOTOMY_PAIRS[(p, d)]
+
+
+@pytest.mark.parametrize("x,z", [(5, 17), (48, 0)])
+def test_intersection_trichotomy_catches_a_grid_off_the_translation_identity(
+    x, z, monkeypatch
+):
+    real = conic_geometry.quadrance_value_grid
+
+    def mutated(params):
+        grid = real(params).copy()
+        grid[x, z] = (grid[x, z] + 1) % params.q
+        return grid
+
+    monkeypatch.setattr(conic_geometry, "quadrance_value_grid", mutated)
+    result = verify_intersection_trichotomy(ConicParams(make_prime_field(7), 1, 1))
+    assert not result["ok"]
+    assert result["mismatches"][0][:3] == ("translation", x, z)
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2)])
+def test_intersection_trichotomy_catches_a_flipped_prediction(p, d, monkeypatch):
+    params = ConicParams(make_field(p, d), 1, 1)
+    real = conic_geometry.predicted_intersection_table(params)
+    flipped = real.copy()
+    flipped[1, 2, 3] = (flipped[1, 2, 3] + 1) % 3
+    monkeypatch.setattr(conic_geometry, "predicted_intersection_table", lambda _: flipped)
+    result = verify_intersection_trichotomy(params)
+    assert not result["ok"] and result["mismatches"]
+    spec, q = params.spec, params.q
+    for x, y, i, j, measured, predicted in result["mismatches"]:
+        centres = [_pt(spec, *divmod(u, q)) for u in (x, y)]
+        k = quadrance(*centres, params).idx
+        assert (i, j, k) == (1, 2, 3) and predicted == flipped[i, j, k]
+        # the named centre pair is real: brute force agrees with the
+        # measured count and not with the flipped prediction
+        found = intersection_points(spec.element(i), spec.element(j), *centres, params)
+        assert len(found) == measured == real[i, j, k] != predicted
 
 
 def test_intersection_trichotomy_sampled_large():

@@ -350,6 +350,17 @@ def test_table_csv_and_json():
     assert d["sizes"] == [1, 4, 4, 4, 4, 8]
 
 
+@pytest.mark.parametrize("p,d,a", [(5, 1, 1), (7, 1, 1), (5, 2, 2), (3, 3, 2)])
+def test_csv_blocks_join_to_the_csv_rows(p, d, a):
+    spec = make_field(p, d)
+    t = build_table(ConicParams(spec, spec.element(a), spec.element(a)))
+    labels = [c.label() for c in t.classes]
+    assert ("iso" in labels) is (spec.q % 4 == 1)  # the isotropic class
+    blocks = list(t.csv_blocks())
+    assert len(blocks) == t.size
+    assert "".join(blocks) == "".join(",".join(map(str, row)) + "\n" for row in t.to_csv_rows())
+
+
 def test_errata_entries_shape():
     entries = errata_entries()
     assert len(entries) == 4
