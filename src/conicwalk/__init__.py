@@ -26,7 +26,6 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
-    enumerate_elements,
     make_extension_field,
     make_field,
     make_prime_field,
@@ -37,7 +36,6 @@ from .conic_geometry import (
     ClassIndex,
     ConicParams,
     Point,
-    circle_csv_rows,
     circle_points,
     class_size,
     classify,

@@ -3,7 +3,7 @@
 Machine-readable CSV/JSON goes to --out (default stdout); human-readable
 summaries go to stderr.  Every output embeds the validated run config.
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 internal
-assertion.
+assertion, 130 interrupted (Ctrl-C).
 
 Each input rule is stated once.  Flag ranges sit on the click options:
 --d, --steps and couple's --trials >= 1, --t and --seed >= 0, mctv's
@@ -447,8 +447,11 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as e:
         return int(e.code or 0)
-    except (ConfigError, NotErgodic, CapExceeded, click.ClickException,
-            click.exceptions.Abort) as e:
+    except click.exceptions.Abort:
+        # click has ended the terminal's ^C line with a newline
+        print("interrupted", file=sys.stderr)
+        return 130
+    except (ConfigError, NotErgodic, CapExceeded, click.ClickException) as e:
         msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 1

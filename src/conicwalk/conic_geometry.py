@@ -239,12 +239,6 @@ def intersection_count(
     return quadratic_character(f_discriminant(i, j, k)) + 1
 
 
-def circle_csv_rows(i: ClassIndex, params: ConicParams, cap: int = ORACLE_CAP):
-    """(class, x, y) rows of a circle dump, in canonical point order."""
-    for p in circle_points(i, params, cap=cap):
-        yield (i.label(), p.x.to_json(), p.y.to_json())
-
-
 def intersection_points(
     i: FieldElement, j: FieldElement, x: Point, y: Point, params: ConicParams,
     cap: int = ORACLE_CAP,
@@ -266,19 +260,21 @@ def intersection_points(
 # vectorised quadrance grid + exhaustive intersection verification
 # ---------------------------------------------------------------------------
 
-def quadrance_value_grid(params: ConicParams) -> np.ndarray:
+def quadrance_value_grid(params: ConicParams, rows: np.ndarray | None = None) -> np.ndarray:
     """(q^2, q^2) array: entry [u, w] is the quadrance value index between the
-    points with ids u = x*q + y and w."""
+    points with ids u = x*q + y and w.  With ``rows``, an array of point ids,
+    only those rows, in that order."""
     spec = params.spec
     q = spec.q
     xs = np.repeat(np.arange(q), q)
     ys = np.tile(np.arange(q), q)
+    pick = slice(None) if rows is None else rows
     a, b = params.a.idx, params.b.idx
     add = spec.add_table()
     mul = spec.mul_table()
     neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
-    dx = add[neg[xs[:, None]], xs[None, :]]
-    dy = add[neg[ys[:, None]], ys[None, :]]
+    dx = add[neg[xs[pick, None]], xs[None, :]]
+    dy = add[neg[ys[pick, None]], ys[None, :]]
     sq_dx = mul[dx, dx]
     sq_dy = mul[dy, dy]
     return add[mul[a, sq_dx], mul[b, sq_dy]]
@@ -326,16 +322,17 @@ def predicted_intersection_table(params: ConicParams) -> np.ndarray:
 
 
 def _check_centre_pairs(
-    grid: np.ndarray, pred: np.ndarray, x: int, ys: np.ndarray
+    pred: np.ndarray, x: int, row_x: np.ndarray, ys: np.ndarray, rows_y: np.ndarray
 ) -> tuple[int, list[tuple]]:
     """Compare the intersection histograms of the centre pairs (x, y), y in
-    ``ys``, with ``pred``: (pairs with nonzero separation, mismatches)."""
+    ``ys``, with ``pred``: (pairs with nonzero separation, mismatches).
+    ``row_x`` and ``rows_y`` are the quadrance grid rows of x and of each y."""
     q = pred.shape[0]
     offsets = np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
-    keys = grid[x][None, :] * q + grid[ys] + offsets
+    keys = row_x[None, :] * q + rows_y + offsets
     counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
     counts = counts.reshape(len(ys), q, q)
-    k_vals = grid[x, ys]
+    k_vals = row_x[ys]
     valid = k_vals != 0
     measured = counts[valid][:, 1:, 1:]
     expected = pred[1:, 1:, :][:, :, k_vals[valid]].transpose(2, 0, 1)
@@ -373,10 +370,10 @@ def verify_intersection_trichotomy(
     """
     q = params.q
     n_pts = q * q
-    grid = quadrance_value_grid(params).astype(np.int64)
     pred = predicted_intersection_table(params)
 
     if q <= exhaustive_cap:
+        grid = quadrance_value_grid(params).astype(np.int64)
         spec = params.spec
         add = spec.add_table()
         neg = spec.mul_table()[spec.p - 1]  # multiplication by -1, whose index is p - 1
@@ -389,7 +386,8 @@ def verify_intersection_trichotomy(
             pairs_checked = 0
             mismatches = [("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))]
         else:
-            pairs, mismatches = _check_centre_pairs(grid, pred, 0, np.arange(1, n_pts))
+            pairs, mismatches = _check_centre_pairs(pred, 0, grid[0], np.arange(1, n_pts),
+                                                    grid[1:])
             # D and -D stand for the same unordered pairs
             pairs_checked = n_pts * pairs // 2
     else:
@@ -400,7 +398,9 @@ def verify_intersection_trichotomy(
         mismatches = []
         for x, y in zip(starts.tolist(), others.tolist()):
             if x != y:
-                pairs, bad = _check_centre_pairs(grid, pred, x, np.array([y]))
+                # only the two grid rows this pair reads
+                rows = quadrance_value_grid(params, np.array([x, y])).astype(np.int64)
+                pairs, bad = _check_centre_pairs(pred, x, rows[0], np.array([y]), rows[1:])
                 pairs_checked += pairs
                 mismatches += bad
     return {

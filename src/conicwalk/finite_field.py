@@ -373,8 +373,3 @@ def sqrt(x: FieldElement) -> FieldElement | None:
     from the cached square-enumeration table."""
     r = x.spec.sqrt_idx(x.idx)
     return None if r is None else FieldElement(x.spec, r)
-
-
-def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in canonical (lexicographic) order."""
-    return spec.elements()

@@ -1,15 +1,17 @@
 """Random walk driven by a fixed class: kernel, stationarity, mixing.
 
-The kernel K(i, j) = n[i, s, j] is stored as the int64 count slice
-C[:, s, :] of the structure-constant counts plus the class sizes N, so
-K(i, j) = C[i, s, j] / (N_i N_s).  The float64 matrix and the ``Fraction``
-view are derived from those integers.  Exact statements use integer
-arithmetic: stationarity of the class-size law is the count identity
-sum_i C[i, s, j] = N_s N_j, and exact kernel powers are integer matrix
-powers over one common denominator, within the desk-scale caps below.
-Kernel powers beyond the caps run in float64 with explicit tolerances
-(mixing times here are O(q) steps, so accumulated error stays far below
-them).
+The kernel K(i, j) = n[i, s, j] is stored as the integer step matrix
+c[i, j] = C[i, s, j] / N_i, the number of points of the step circle that
+carry a fixed point of class i into class j (the division is exact because
+the classes are orbits), plus the step size N_s.  So K = c / N_s and
+K^m = c^m / N_s^m.  The float64 matrix and the ``Fraction`` view are derived
+from those integers.  Exact statements use integer arithmetic:
+stationarity of the class-size law is the identity
+sum_i N_i c[i, j] = N_s N_j at every q, and the minorization constant is
+exact while N_s^m < 2^53, where the one float64 power of c holds exact
+integers.  Mixing times and TV curves run in float64 with explicit
+tolerances (mixing times here are O(q) steps, so accumulated error stays
+far below them).
 """
 
 from __future__ import annotations
@@ -32,21 +34,15 @@ from .errors import (
 )
 from .hypergroup import StructureTable, closed_row
 
-EXACT_SIZE_CAP = 32   # largest index-set size for exact statements
-EXACT_POWER_CAP = 8   # largest exact kernel power
 STATIONARY_TOL = 1e-13
 DECAY_SLACK = 1e-10
 MONOTONE_SLACK = 1e-12
 
 
-def _exact_within_caps(size: int, m: int = 0) -> bool:
-    """Whether exact results are produced for this index-set size and power."""
-    return size <= EXACT_SIZE_CAP and m <= EXACT_POWER_CAP
-
-
 class Kernel:
     """Row-stochastic matrix of the class walk with step class ``step``,
-    stored as counts[i, j] = C[i, step, j] plus the class sizes."""
+    built from counts[i, j] = C[i, step, j] and the class sizes, stored as
+    the integer step matrix step_counts = counts / N_i and the step size."""
 
     def __init__(self, params: ConicParams, classes: list[ClassIndex],
                  step: ClassIndex, counts: np.ndarray, sizes):
@@ -54,18 +50,22 @@ class Kernel:
         self.classes = list(classes)
         self.step = step
         self._pos = {c: t for t, c in enumerate(self.classes)}
-        self.counts = np.asarray(counts, dtype=np.int64)
         self.sizes = np.asarray(sizes, dtype=np.int64)
-        # N_i * N_step: the denominator of row i
-        self.row_sizes = self.sizes * self.sizes[self.position(step)]
-        sums = self.counts.sum(axis=1)
-        bad = np.flatnonzero(sums != self.row_sizes)
+        self.step_size = int(self.sizes[self.position(step)])
+        self.step_counts, rem = np.divmod(np.asarray(counts, dtype=np.int64),
+                                          self.sizes[:, None])
+        bad = np.flatnonzero(rem.any(axis=1))
+        if bad.size:
+            raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
+                             f"{self.sizes[bad[0]]}")
+        sums = self.step_counts.sum(axis=1)
+        bad = np.flatnonzero(sums != self.step_size)
         if bad.size:
             t = bad[0]
             raise ValueError(f"kernel row {t} sums to "
-                             f"{Fraction(int(sums[t]), int(self.row_sizes[t]))} != 1")
-        # int64 / int64 is one correctly rounded division: equals float(Fraction)
-        self.mat = self.counts / self.row_sizes[:, None]
+                             f"{Fraction(int(sums[t]), self.step_size)} != 1")
+        # int64 / int is one correctly rounded division: equals float(Fraction)
+        self.mat = self.step_counts / self.step_size
         err = np.abs(self.mat.sum(axis=1) - 1.0).max()
         if err > 1e-15:
             raise ValueError(f"float kernel row sum off by {err}")
@@ -91,20 +91,7 @@ class Kernel:
     @cached_property
     def rat(self) -> list[list[Fraction]]:
         """``Fraction`` view rat[i][j] = K(i, j)."""
-        return [[Fraction(c, den) for c in row]
-                for row, den in zip(self.counts.tolist(), self.row_sizes.tolist())]
-
-    def rational_power(self, m: int) -> list[list[Fraction]]:
-        """K^m exactly, as an integer matrix power over one common denominator."""
-        if not _exact_within_caps(self.size, m):
-            raise ValueError(f"exact power capped at m <= {EXACT_POWER_CAP}, "
-                             f"size <= {EXACT_SIZE_CAP}")
-        den = math.lcm(*self.row_sizes.tolist())
-        scaled = (self.counts * (den // self.row_sizes)[:, None]).astype(object)
-        power = np.eye(self.size, dtype=object)
-        for _ in range(m):
-            power = power @ scaled
-        return [[Fraction(v, den ** m) for v in row] for row in power.tolist()]
+        return [[Fraction(c, self.step_size) for c in row] for row in self.step_counts.tolist()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,14 +177,15 @@ def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribu
     if n < 0:
         raise ValueError("n must be >= 0")
     if exact:
-        if n > 64:
-            raise ValueError("exact evolution capped at n <= 64")
         if d0.exact is None:
             raise ValueError("exact evolution needs an exact-backed distribution")
-        vec = list(d0.exact)
-        m = k.size
+        # d0 K^n = (den d0) c^n / (den N_s^n), with Python-int numerators
+        den = math.lcm(*(v.denominator for v in d0.exact))
+        num = np.array([v.numerator * (den // v.denominator) for v in d0.exact], dtype=object)
+        step = k.step_counts.astype(object)
         for _ in range(n):
-            vec = [sum(vec[t] * k.rat[t][j] for t in range(m)) for j in range(m)]
+            num = num @ step
+        vec = [Fraction(v, den * k.step_size ** n) for v in num.tolist()]
         return Distribution(k.classes, [float(v) for v in vec], vec)
     vec = d0.probs.copy()
     for _ in range(n):
@@ -242,7 +230,7 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
     """Irreducibility by reachability on the support digraph, aperiodicity by
     the gcd of cycle-length differences through state 0."""
     n = k.size
-    positive = k.counts > 0
+    positive = k.step_counts > 0
     support = [np.flatnonzero(r).tolist() for r in positive]
     reverse = [np.flatnonzero(c).tolist() for c in positive.T]
 
@@ -292,16 +280,15 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
 
 
 def stationary(k: Kernel, method: str = "auto") -> Distribution:
-    """The unique pi with pi K = pi (exact certificate at desk scale, else
-    power iteration to a 1e-13 residual)."""
+    """The unique pi with pi K = pi: the class-size law under an O(q^2)
+    integer certificate ("auto" and "exact", at every q), or power iteration
+    to a 1e-13 residual ("power", the float cross-check)."""
     if not ergodicity_check(k):
         raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
-    if method == "auto":
-        method = "exact" if _exact_within_caps(k.size) else "power"
-    if method == "exact":
-        # pi_j = N_j / sum(N) satisfies pi K = pi iff sum_i C[i, s, j] = N_s N_j;
+    if method in ("auto", "exact"):
+        # pi_j = N_j / sum(N) satisfies pi K = pi iff sum_i N_i c[i, j] = N_s N_j;
         # the kernel is ergodic, so it is then the unique stationary law
-        if not np.array_equal(k.counts.sum(axis=0), k.sizes[k.position(k.step)] * k.sizes):
+        if not np.array_equal(k.sizes @ k.step_counts, k.step_size * k.sizes):
             raise InternalCheckError(
                 f"class sizes are not stationary for the step {k.step!r} kernel")
         total = int(k.sizes.sum())
@@ -404,15 +391,23 @@ def mixing_time(k: Kernel, pi: Distribution, eps: float,
 
 
 def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction | None, float]:
-    """min over (i, j) of K^m(i, j) / pi(j), exact when within caps."""
+    """min over (i, j) of K^m(i, j) / pi(j), exact while N_s^m < 2^53.
+
+    K^m = c^m / N_s^m.  Every entry and partial sum of the float64 power of
+    the step matrix c is a nonnegative integer at most N_s^m, so below 2^53
+    that one BLAS power holds the exact integers; the exact minimum then
+    takes one ``Fraction`` per column.  Above it, or without an exact pi,
+    the constant is float only: (None, float).
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    exact: Fraction | None = None
-    if _exact_within_caps(k.size, m) and pi.exact is not None:
-        exact = min(v / pj for row in k.rational_power(m) for v, pj in zip(row, pi.exact))
-    mat = np.linalg.matrix_power(k.mat, m)
-    ratio = float((mat / pi.probs[None, :]).min())
-    return exact, ratio
+    scale = k.step_size ** m
+    if scale >= 2 ** 53 or pi.exact is None:
+        mat = np.linalg.matrix_power(k.mat, m)
+        return None, float((mat / pi.probs[None, :]).min())
+    col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
+    exact = min(Fraction(int(v), scale) / pj for v, pj in zip(col_min.tolist(), pi.exact))
+    return exact, float(exact)
 
 
 def minorization_check(k: Kernel, pi: Distribution, m: int | None = None) -> dict:

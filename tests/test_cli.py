@@ -364,9 +364,11 @@ def test_interrupted_scan_keeps_rows_written_before_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "mixing_report", interrupted_at_11)
     out = tmp_path / "scan.csv"
-    run_main("scan", "--qmin", "7", "--qmax", "13", "--out", str(out))
+    r = run_main("scan", "--qmin", "7", "--qmax", "13", "--out", str(out))
     qs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
     assert qs == [7, 9]
+    # exit 130, not the invalid-input code; click's newline ends the ^C line
+    assert (r.returncode, r.stdout, r.stderr) == (130, "", "\ninterrupted\n")
 
 
 def test_output_is_written_through_a_symlink(tmp_path):

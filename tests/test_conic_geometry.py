@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -325,21 +326,26 @@ def test_intersection_trichotomy_sampled_large():
     assert result["ok"]
 
 
+def test_sampled_trichotomy_builds_only_the_sampled_rows():
+    # the whole (q^2, q^2) grid at q = 41 would take over 100 MiB
+    peaks = {}
+    for q, pairs in ((37, 192), (41, 190)):
+        params = ConicParams(make_prime_field(q), 1, 1)
+        for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
+            table()  # the cached field tables are not the check's own memory
+        tracemalloc.start()
+        try:
+            result = verify_intersection_trichotomy(params)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["ok"] and result["pairs_checked"] == pairs
+    assert peaks[41] < 32 * 2**20
+
+
 def test_point_serialization():
     f7 = make_prime_field(7)
     assert _pt(f7, 1, 2).to_json() == [1, 2]
     p = ConicParams(f7, 1, 2)
     assert p.to_json() == {"field": {"p": 7, "d": 1, "modulus": [0, 1]},
                            "a": 1, "b": 2, "c": 3}
-
-
-def test_circle_csv_rows():
-    from conicwalk.conic_geometry import circle_csv_rows
-
-    f5 = make_prime_field(5)
-    p5 = ConicParams(f5, 1, 1)
-    rows = list(circle_csv_rows(ClassIndex.finite(f5.element(1)), p5))
-    assert len(rows) == 4
-    assert rows[0] == ("1", 0, 1)  # lex point order: (0,1) before (0,4)
-    iso_rows = list(circle_csv_rows(ClassIndex.isotropic(f5), p5))
-    assert len(iso_rows) == 8 and all(r[0] == "iso" for r in iso_rows)

@@ -7,7 +7,6 @@ from conicwalk import (
     CapExceeded,
     FieldMismatch,
     NotOddPrime,
-    enumerate_elements,
     make_extension_field,
     make_field,
     make_prime_field,
@@ -225,14 +224,14 @@ def test_sqrt_examples_gf7():
     assert sqrt(spec.element(3)) is None
 
 
-def test_enumerate_elements_order():
+def test_spec_elements_order():
     f3 = make_prime_field(3)
-    assert [e.idx for e in enumerate_elements(f3)] == [0, 1, 2]
+    assert [e.idx for e in f3.elements()] == [0, 1, 2]
     f7 = make_prime_field(7)
-    els = enumerate_elements(f7)
+    els = f7.elements()
     assert els[0].idx == 0 and els[-1].idx == 6
     f9 = make_field(3, 2)
-    els9 = enumerate_elements(f9)
+    els9 = f9.elements()
     assert len(els9) == 9 and len({e.idx for e in els9}) == 9
     assert els9 == sorted(els9)
 

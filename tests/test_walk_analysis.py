@@ -10,6 +10,7 @@ from conicwalk import (
     ConicParams,
     Distribution,
     IndexMismatch,
+    Kernel,
     NotErgodic,
     boost_check,
     build_table,
@@ -75,6 +76,14 @@ def test_kernel_power_rows_stay_stochastic(k7, k13):
             assert np.abs(mat.sum(axis=1) - 1.0).max() <= m * 1e-15
 
 
+def test_kernel_rejects_counts_not_divisible_by_the_class_size(k7):
+    counts = k7.step_counts * k7.sizes[:, None]
+    counts[1, 0] += 1  # row 1 still sums to N_1 N_s, but N_1 = 8 no longer divides it
+    counts[1, 1] -= 1
+    with pytest.raises(ValueError, match="not divisible"):
+        Kernel(k7.params, k7.classes, k7.step, counts, k7.sizes)
+
+
 def test_kernel_zero_step_is_identity():
     p7 = ConicParams(make_prime_field(7), 1, 1)
     k = kernel_for_step(p7, _cls(p7.spec, 0))
@@ -121,7 +130,7 @@ def test_evolve_two_steps_matches_convolution_row(k7):
 
 def test_evolve_exact_matches_float(k13):
     d0 = Distribution.point_mass(k13.classes, k13.classes[0])
-    for n in (1, 3, 8):
+    for n in (1, 3, 8, 80):
         ex = evolve(d0, k13, n, exact=True)
         fl = evolve(d0, k13, n)
         assert np.abs(ex.probs - fl.probs).max() < 1e-14
@@ -150,6 +159,12 @@ def test_stationary_matches_haar(k7, pi7, k13, pi13):
         assert np.abs(st.probs - pi.probs).max() <= 1e-12
         ex = stationary(k, method="exact")
         assert ex.exact == pi.exact
+
+
+def test_stationary_default_is_exact_above_32_classes():
+    params = ConicParams(make_prime_field(37), 1, 1)
+    st = stationary(kernel_for_step(params))
+    assert st.exact == haar(params).exact
 
 
 def test_stationary_exact_fixed_point(k7, pi7):
@@ -318,6 +333,38 @@ def test_minorization_gf5_computed_but_small_q():
     exact, approx = minorization_constant(k, haar(p5), 6)
     assert exact is not None and exact >= 0
     assert approx >= 0
+
+
+def _python_int_minorization(k, pi, m):
+    """min over (i, j) of K^m(i, j) / pi(j) from an object-dtype power of
+    the step matrix: Python ints, no float anywhere."""
+    step = k.step_counts.astype(object)
+    power = step
+    for _ in range(m - 1):
+        power = power @ step
+    scale = k.step_size ** m
+    return min(Fraction(v, scale) / pj
+               for row in power.tolist() for v, pj in zip(row, pi.exact))
+
+
+@pytest.mark.parametrize("q", [37, 61, 127])
+def test_exact_minorization_matches_python_int_power(q):
+    params = ConicParams(make_prime_field(q), 1, 1)
+    k, pi = kernel_for_step(params), haar(params)
+    m, ref = minorization_reference(q, q % 4)
+    exact, measured = minorization_constant(k, pi, m)
+    assert exact == _python_int_minorization(k, pi, m)
+    assert measured == float(exact) and exact >= ref
+
+
+def test_minorization_exact_while_the_power_denominator_is_below_2_53():
+    # branch 1: m = 6 and N_s = q - 1, so N_s^6 < 2^53 holds at q = 457, not at 461
+    for q, exact_expected in ((457, True), (461, False)):
+        params = ConicParams(make_prime_field(q), 1, 1)
+        k = kernel_for_step(params)
+        exact, measured = minorization_constant(k, haar(params), 6)
+        assert (exact is not None) == exact_expected, q
+        assert measured >= 1 / (3 * q)
 
 
 def test_minorization_reference_values():
