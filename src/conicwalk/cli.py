@@ -13,8 +13,8 @@ arithmetic cap, weights and class labels in range(q), an enumeration within
 the oracle cap) are the library's.  ``main`` turns every user-caused error
 into exit 1 with one ``error:`` line: an invalid flag, q above the
 arithmetic or oracle cap, a non-ergodic step class, or an unwritable output
-path.  A command with two output paths checks both before it writes either,
-so exit 1 leaves nothing behind.
+path.  Every command checks each output path it will write before any
+computation, so exit 1 comes at once and leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -263,6 +263,7 @@ def axioms(p, d, a, b, c, out, source):
     """Hypergroup axiom report; exits 2 if any axiom fails."""
     cfg = RunConfig(command="axioms", p=p, d=d, a=a, b=b, c=c,
                     extra={"source": source})
+    _check_writable(out)
     params = _params(cfg)
     table = build_table(params, source)
     report = verify_axioms(table)
@@ -280,6 +281,7 @@ def axioms(p, d, a, b, c, out, source):
 def kernel(p, d, a, b, c, out, s, fmt):
     """Dump the walk kernel K(i, j) = n[i, s, j]."""
     cfg = RunConfig(command="kernel", p=p, d=d, a=a, b=b, c=c, s=s, fmt=fmt)
+    _check_writable(out)
     params, k = _walk(cfg)
     if fmt == "json":
         _emit_json({"kernel": k.to_json_dict()}, cfg, out)
@@ -303,6 +305,7 @@ def stationary_cmd(p, d, a, b, c, out, s, method):
     """Stationary distribution versus the class-size (Haar) distribution."""
     cfg = RunConfig(command="stationary", p=p, d=d, a=a, b=b, c=c, s=s,
                     extra={"method": method})
+    _check_writable(out)
     params, k = _walk(cfg)
     pi = stationary(k, method=method)
     ref = haar(params)
@@ -321,6 +324,7 @@ def stationary_cmd(p, d, a, b, c, out, s, method):
 def mixing(p, d, a, b, c, out, s, eps):
     """Measured mixing time, proven bound, and the worst-start TV curve."""
     cfg = RunConfig(command="mixing", p=p, d=d, a=a, b=b, c=c, s=s, eps=eps)
+    _check_writable(out)
     params = _params(cfg)
     rep = mixing_report(params, _parse_class(cfg.s, params), eps)
     _emit_json({"mixing": rep.to_json()}, cfg, out)
@@ -338,6 +342,7 @@ def minorize(p, d, a, b, c, out, s, m):
     """Minimum of K^m / pi against the proven minorization constant."""
     cfg = RunConfig(command="minorize", p=p, d=d, a=a, b=b, c=c, s=s,
                     extra={"steps": m})
+    _check_writable(out)
     params, k = _walk(cfg)
     verdict = minorization_check(k, haar(params), m)
     _emit_json({"minorization": verdict}, cfg, out)
@@ -359,9 +364,9 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
     """Coupled-walk simulation: coalescence times and empirical tail."""
     cfg = RunConfig(command="couple", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "start": start})
+    _check_writable(out, hist_out)
     params, k = _walk(cfg)
     stats = run_coupling_trials(k, haar(params), _parse_class(start, params), trials, seed)
-    _check_writable(out, hist_out)
     _emit_json({"coupling": stats.to_json()}, cfg, out)
     if hist_out:
         tail = stats.tail_curve()
@@ -383,6 +388,7 @@ def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
     cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
                     extra={"trials": trials, "t": t, "start": start})
+    _check_writable(out)
     params, k = _walk(cfg)
     est = monte_carlo_tv(_parse_class(start, params), t, trials, seed, k, haar(params))
     _emit_json({"monte_carlo_tv": est.to_json()}, cfg, out)

@@ -10,6 +10,7 @@ axioms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,29 +306,33 @@ def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
     return spec.chi_table()[f].astype(np.int64)
 
 
-def predicted_intersection_table(params: ConicParams) -> np.ndarray:
+def predicted_intersection_table(params: ConicParams, ks: np.ndarray | None = None) -> np.ndarray:
     """(q, q, q) int8 array of predicted counts for i, j, k all nonzero.
 
     Entries with any zero argument are set to -1 (outside the hypotheses).
+    With ``ks``, an array of separation indices, only the slices
+    [:, :, ks], in that order.
     """
     idx = np.arange(params.q)
+    k = idx if ks is None else ks
     chi = discriminant_character(
-        params.spec, idx[:, None, None], idx[None, :, None], idx[None, None, :]
+        params.spec, idx[:, None, None], idx[None, :, None], k[None, None, :]
     )
     pred = (chi + 1).astype(np.int8)
     pred[0, :, :] = -1
     pred[:, 0, :] = -1
-    pred[:, :, 0] = -1
+    pred[:, :, k == 0] = -1
     return pred
 
 
 def _check_centre_pairs(
-    pred: np.ndarray, x: int, row_x: np.ndarray, ys: np.ndarray, rows_y: np.ndarray
+    predict, x: int, row_x: np.ndarray, ys: np.ndarray, rows_y: np.ndarray
 ) -> tuple[int, list[tuple]]:
     """Compare the intersection histograms of the centre pairs (x, y), y in
-    ``ys``, with ``pred``: (pairs with nonzero separation, mismatches).
-    ``row_x`` and ``rows_y`` are the quadrance grid rows of x and of each y."""
-    q = pred.shape[0]
+    ``ys``, with the prediction: (pairs with nonzero separation, mismatches).
+    ``row_x`` and ``rows_y`` are the quadrance grid rows of x and of each y;
+    ``predict(ks)`` gives the prediction slices [:, :, ks]."""
+    q = math.isqrt(row_x.size)
     offsets = np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
     keys = row_x[None, :] * q + rows_y + offsets
     counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
@@ -335,7 +340,7 @@ def _check_centre_pairs(
     k_vals = row_x[ys]
     valid = k_vals != 0
     measured = counts[valid][:, 1:, 1:]
-    expected = pred[1:, 1:, :][:, :, k_vals[valid]].transpose(2, 0, 1)
+    expected = predict(k_vals[valid])[1:, 1:, :].transpose(2, 0, 1)
     y_sel = ys[valid]
     mismatches = [
         (x, int(y_sel[r]), int(ii + 1), int(jj + 1),
@@ -370,9 +375,9 @@ def verify_intersection_trichotomy(
     """
     q = params.q
     n_pts = q * q
-    pred = predicted_intersection_table(params)
 
     if q <= exhaustive_cap:
+        pred = predicted_intersection_table(params)
         grid = quadrance_value_grid(params).astype(np.int64)
         spec = params.spec
         add = spec.add_table()
@@ -386,8 +391,8 @@ def verify_intersection_trichotomy(
             pairs_checked = 0
             mismatches = [("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))]
         else:
-            pairs, mismatches = _check_centre_pairs(pred, 0, grid[0], np.arange(1, n_pts),
-                                                    grid[1:])
+            pairs, mismatches = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
+                                                    np.arange(1, n_pts), grid[1:])
             # D and -D stand for the same unordered pairs
             pairs_checked = n_pts * pairs // 2
     else:
@@ -398,9 +403,11 @@ def verify_intersection_trichotomy(
         mismatches = []
         for x, y in zip(starts.tolist(), others.tolist()):
             if x != y:
-                # only the two grid rows this pair reads
+                # only the two grid rows and the one prediction slice this pair reads
                 rows = quadrance_value_grid(params, np.array([x, y])).astype(np.int64)
-                pairs, bad = _check_centre_pairs(pred, x, rows[0], np.array([y]), rows[1:])
+                pairs, bad = _check_centre_pairs(
+                    lambda ks: predicted_intersection_table(params, ks),
+                    x, rows[0], np.array([y]), rows[1:])
                 pairs_checked += pairs
                 mismatches += bad
     return {

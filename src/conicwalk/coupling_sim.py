@@ -5,8 +5,11 @@ distribution; they move independently until they first meet and together
 afterwards.  The tail of the meeting time dominates the exact TV distance,
 which is what the simulations validate.
 
-All trials of a batch advance in lockstep, one ``np.searchsorted`` over the
-row CDFs per step.  Uniforms follow the layout ``STREAM``, echoed in every
+All trials of a batch advance in lockstep, one vectorised inverse-CDF draw
+per chain and step.  A walker at class i with uniform u moves to the first
+class j whose CDF value, rounded up to a multiple of 2^-53, exceeds u; the
+draw finds it with a guide table (Chen and Asau 1974), and any exact search
+gives the same class.  Uniforms follow the layout ``STREAM``, echoed in every
 coupling and MC-TV payload: in splitmix64-trial-counter/v1, uniform j of trial
 t under seed s is (z >> 11) * 2^-53 for z the SplitMix64 output number
 (t << 32) + j + 1 from the state SeedSequence(s).generate_state(1, uint64)[0].
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conic_geometry import ClassIndex
-from .errors import CapExceeded, IndexInvalid, NotErgodic, WalkTimeout
+from .errors import IndexInvalid, NotErgodic, WalkTimeout
 from .walk_analysis import Distribution, Kernel, ergodicity_check
 
 STREAM = "splitmix64-trial-counter/v1"
@@ -33,22 +36,25 @@ COALESCENCE_STEP_LIMIT = 10**6
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_BITS = np.uint64(53)  # a uniform is U * 2^-53 for a 53-bit integer U
 
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _splitmix64(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """53-bit integer U of SplitMix64 output number ``counter`` (from 1)."""
-    with np.errstate(over="ignore"):  # updates in place keep temporaries few
-        z = counter * _GAMMA + key
+def _splitmix64(key: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """53-bit integer U of SplitMix64 output number ``z`` (from 1), computed
+    in place in ``z``, which keeps temporaries few."""
+    with np.errstate(over="ignore"):
+        z *= _GAMMA
+        z += key
         z ^= z >> np.uint64(30)
         z *= _MIX1
         z ^= z >> np.uint64(27)
         z *= _MIX2
-        return (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        return z
 
 
 def _cdf(rows: np.ndarray) -> np.ndarray:
@@ -58,13 +64,50 @@ def _cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
+class _GuideTable:
+    """First j with cdf[r, j] > U, for integer CDF rows and 53-bit integers U.
+
+    ``cdf`` has shape (R, n), nondecreasing rows and last column 2^53.  The
+    search is the guide table ("indexed search") of Chen and Asau (1974), in
+    Devroye, *Non-Uniform Random Variate Generation* (1986), section III.2.4:
+    with G = 2^g buckets, g = n.bit_length() so that n < G <= 2n, guide[r, b]
+    is the first j with cdf[r, j] > b * 2^(53 - g).  U lies in bucket
+    b = U >> (53 - g), so the answer is at least guide[r, b], and a walker
+    steps j += 1 while cdf[r, j] <= U: fewer than two comparisons per search
+    on average, and the answer of any exact search.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        n = cdf.shape[1]
+        g = n.bit_length()
+        self.n, self.buckets, self.shift = n, 1 << g, np.uint64(53 - g)
+        edges = np.arange(self.buckets, dtype=np.uint64) << self.shift
+        # entries are flat positions in cdf, so a search gathers once per pass
+        self.guide = np.concatenate([np.searchsorted(c, edges, side="right") + r * n
+                                     for r, c in enumerate(cdf)])
+        self.cdf = cdf.ravel()
+
+    def search(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """For each walker, the first j with cdf[rows, j] > u."""
+        pos = (u >> self.shift).view(np.int64)  # u < 2^53: the view is exact
+        pos += rows * self.buckets
+        pos = self.guide[pos]
+        ahead = np.flatnonzero(self.cdf[pos] <= u)
+        while ahead.size:
+            pos[ahead] += 1
+            ahead = ahead[self.cdf[pos[ahead]] <= u[ahead]]
+        pos -= rows * self.n
+        return pos
+
+
 class _Lockstep:
     """Inverse-CDF draws for many walkers at once, from the stream of one seed.
 
-    The CDFs of the rows of ``k.mat``, with ``pi`` appended as row n, form one
-    sorted uint64 array: entry (r, j) is r * 2^53 + ceil(cdf[r, j] * 2^53).
-    Walker at row r with uniform U * 2^-53 then moves to the first j with
-    cdf[r, j] > U * 2^-53, found exactly by one searchsorted for all walkers.
+    Row r of the table is the CDF of row r of ``k.mat`` (row n: ``pi``), each
+    entry rounded up to an integer multiple of 2^-53 and stored as that
+    integer, so the last entry is 2^53.  A walker at row r with uniform
+    U * 2^-53 moves to the first j with cdf[r, j] > U, which the guide table
+    finds exactly.
     """
 
     def __init__(self, k: Kernel, pi: Distribution, seed: int):
@@ -72,19 +115,15 @@ class _Lockstep:
             raise IndexInvalid("pi and kernel index sets differ")
         if not ergodicity_check(k):
             raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
-        if k.size >= 2047:  # (n + 1) rows of 2^53 keys each must fit in uint64
-            raise CapExceeded(f"{k.size} classes exceed the walk engine's limit of 2046")
         self.n = k.size
         self.key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-        scaled = np.ceil(_cdf(np.vstack([k.mat, pi.probs])) * 2.0**53).astype(np.uint64)
-        rows = np.arange(self.n + 1, dtype=np.uint64)[:, None] << _BITS
-        self.keys = (rows + scaled).ravel()
+        self.table = _GuideTable(
+            np.ceil(_cdf(np.vstack([k.mat, pi.probs])) * 2.0**53).astype(np.uint64))
 
     def draw(self, rows: np.ndarray, trials: np.ndarray, j) -> np.ndarray:
         """Next class of walkers at ``rows`` with uniform ``j`` of each of ``trials``."""
-        query = _splitmix64(self.key, (trials << np.uint64(32)) + np.asarray(j, np.uint64) + 1)
-        query += rows.astype(np.uint64) << _BITS
-        return np.searchsorted(self.keys, query, side="right") - rows * self.n
+        counter = (trials << np.uint64(32)) + np.asarray(j, np.uint64) + 1
+        return self.table.search(rows, _splitmix64(self.key, counter))
 
     def meeting_times(self, x0: int, trials: np.ndarray, marginal_steps: tuple[int, ...],
                       step_limit: int) -> tuple[np.ndarray, dict]:

@@ -225,6 +225,14 @@ GOLDEN_STDOUT = {
         "44c6624ed5c61102b175fb3a538a7b826b5ca4fc18d18928bc3a1a6c42c43c60",
     ("stationary", "--p", "31", "--method", "exact"):
         "3f2ef4dcc4067f16e40c07153adb94a9430d2b2643e22646338c6ebeed8b56f7",
+    # the Monte Carlo bytes: a change to the stream or to the draw rule
+    # changes these, a change to the search method alone does not
+    ("couple", "--p", "7", "--trials", "2000", "--seed", "3"):
+        "7308d1d71b3e33834e778abea75e4bc031adcde4390ebbc5ff695822ad819239",
+    ("couple", "--p", "61", "--trials", "500", "--seed", "1"):
+        "7fd6123d58480a7844a117531f682cac99e7ec9fa3b92a818b183c4cfca55ada",
+    ("mctv", "--p", "13", "--t", "12", "--trials", "2000", "--seed", "42"):
+        "e39807d18a1aacabf95537b89d5293becab4c66297dfd7d10457d0ec307acbd9",
 }
 
 
@@ -397,6 +405,30 @@ def test_output_path_that_is_a_directory_exits_1(tmp_path):
     assert r.returncode == 1
     assert r.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("couple", "--p", "61", "--trials", "100000"),
+    ("mctv", "--p", "61", "--t", "60", "--trials", "200000"),
+    ("kernel", "--p", "7"),
+    ("stationary", "--p", "7"),
+    ("mixing", "--p", "7"),
+    ("minorize", "--p", "7"),
+    ("axioms", "--p", "7"),
+], ids=" ".join)
+def test_unwritable_output_exits_1_before_any_computation(args, tmp_path, monkeypatch):
+    from conicwalk import cli
+
+    def computed(*a, **kw):
+        raise AssertionError("computed before the output path was checked")
+
+    for name in ("run_coupling_trials", "monte_carlo_tv", "kernel_for_step",
+                 "mixing_report", "build_table"):
+        monkeypatch.setattr(cli, name, computed)
+    out = tmp_path / "missing" / "x"
+    r = run_main(*args, "--out", str(out))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: cannot write {out}: No such file or directory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,21 @@ def test_intersection_trichotomy_catches_a_flipped_prediction(p, d, monkeypatch)
         assert len(found) == measured == real[i, j, k] != predicted
 
 
+def test_sampled_trichotomy_catches_a_flipped_prediction(monkeypatch):
+    params = ConicParams(make_prime_field(37), 1, 1)
+    real = conic_geometry.predicted_intersection_table
+
+    def flipped(params, ks=None):
+        pred = real(params, ks)
+        pred[1, 2] = (pred[1, 2] + 1) % 3
+        return pred
+
+    monkeypatch.setattr(conic_geometry, "predicted_intersection_table", flipped)
+    result = verify_intersection_trichotomy(params, sample_centers=20)
+    assert not result["ok"]
+    assert {(i, j) for _, _, i, j, _, _ in result["mismatches"]} == {(1, 2)}
+
+
 def test_intersection_trichotomy_sampled_large():
     spec = make_prime_field(37)
     result = verify_intersection_trichotomy(ConicParams(spec, 1, 1), sample_centers=60)
@@ -327,9 +342,10 @@ def test_intersection_trichotomy_sampled_large():
 
 
 def test_sampled_trichotomy_builds_only_the_sampled_rows():
-    # the whole (q^2, q^2) grid at q = 41 would take over 100 MiB
+    # the whole (q^2, q^2) grid at q = 41 would take over 100 MiB, and the
+    # whole (q, q, q) prediction table at q = 127 about 49 MiB
     peaks = {}
-    for q, pairs in ((37, 192), (41, 190)):
+    for q, pairs in ((37, 192), (41, 190), (127, 200)):
         params = ConicParams(make_prime_field(q), 1, 1)
         for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
             table()  # the cached field tables are not the check's own memory
@@ -341,6 +357,7 @@ def test_sampled_trichotomy_builds_only_the_sampled_rows():
             tracemalloc.stop()
         assert result["ok"] and result["pairs_checked"] == pairs
     assert peaks[41] < 32 * 2**20
+    assert peaks[127] < 8 * 2**20
 
 
 def test_point_serialization():

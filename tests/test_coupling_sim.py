@@ -2,6 +2,7 @@ import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from conicwalk import (
@@ -13,6 +14,7 @@ from conicwalk import (
     evolve,
     haar,
     kernel_for_step,
+    make_field,
     make_prime_field,
     monte_carlo_tv,
     run_coupling_trials,
@@ -219,28 +221,92 @@ def _reference_trial(k, pi, x0, seed, trial, horizon):
     return met, path
 
 
-def test_stream_matches_one_draw_at_a_time_reference(setup7):
-    _, k, pi = setup7
+# (p, d, a, b, start position): q = 7; q = 61, the couple_long field of the
+# benchmark; GF(25) with non-unit weights, whose kernel rows have zero
+# entries that repeat CDF values
+REFERENCE_WALKS = [(7, 1, 1, 1, 0), (61, 1, 1, 1, 1), (5, 2, 2, 8, 1)]
+
+
+def _reference_walks():
+    for p, d, a, b, x0 in REFERENCE_WALKS:
+        params = ConicParams(make_field(p, d), a, b)
+        yield kernel_for_step(params), haar(params), x0
+
+
+def test_stream_matches_one_draw_at_a_time_reference():
     steps = (0, 3, 10)
-    stats = run_coupling_trials(k, pi, k.classes[0], trials=300, seed=42, marginal_steps=steps)
-    ref = [_reference_trial(k, pi, 0, 42, t, max(steps)) for t in range(300)]
-    assert stats.times == [met for met, _ in ref]
-    for s in steps:
-        want = np.bincount([path[s] for _, path in ref], minlength=k.size).tolist()
-        assert stats.marginal_counts[s] == want
+    for k, pi, x0 in _reference_walks():
+        stats = run_coupling_trials(k, pi, k.classes[x0], trials=300, seed=42,
+                                    marginal_steps=steps)
+        ref = [_reference_trial(k, pi, x0, 42, t, max(steps)) for t in range(300)]
+        assert stats.times == [met for met, _ in ref], k.q
+        for s in steps:
+            want = np.bincount([path[s] for _, path in ref], minlength=k.size).tolist()
+            assert stats.marginal_counts[s] == want, (k.q, s)
 
 
-def test_monte_carlo_counts_match_one_draw_at_a_time_reference(setup7):
-    _, k, pi = setup7
+def test_monte_carlo_counts_match_one_draw_at_a_time_reference():
     key = int(np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
-    cdf = _cdf_lists(k, pi)
-    want = [0] * k.size
-    for trial in range(1000):
-        x = 0
-        for j in range(3):
-            x = bisect.bisect_right(cdf[x], _splitmix_uniform(key, trial, j))
-        want[x] += 1
-    assert monte_carlo_tv(k.classes[0], 3, 1000, 5, k, pi).counts == want
+    for k, pi, x0 in _reference_walks():
+        cdf = _cdf_lists(k, pi)
+        want = [0] * k.size
+        for trial in range(1000):
+            x = x0
+            for j in range(3):
+                x = bisect.bisect_right(cdf[x], _splitmix_uniform(key, trial, j))
+            want[x] += 1
+        assert monte_carlo_tv(k.classes[x0], 3, 1000, 5, k, pi).counts == want, k.q
+
+
+def _guide_search(cdf, us):
+    """The guide-table search of every U in ``us`` on every row of ``cdf``."""
+    from conicwalk.coupling_sim import _GuideTable
+
+    rows = np.repeat(np.arange(len(cdf)), len(us))
+    u = np.tile(np.array(us, dtype=np.uint64), len(cdf))
+    return _GuideTable(np.array(cdf, dtype=np.uint64)).search(rows, u).reshape(len(cdf), -1)
+
+
+def test_guide_search_on_bucket_edges():
+    # n = 4 classes: G = 8 buckets, edges at b * 2^50
+    e = 1 << 50
+    cdf = [
+        [e, e, 3 * e, 8 * e],          # on edges, with a zero-probability class
+        [0, 0, 4 * e, 8 * e],          # two leading zero-probability classes
+        [e - 1, e + 1, 7 * e, 8 * e],  # one off the edges
+        [8 * e] * 4,                   # all mass on class 0
+        [0, 0, 0, 8 * e],              # all mass on the last class
+    ]
+    us = sorted({0, 2**53 - 1, *(b * e + d for b in range(1, 8) for d in (-1, 0, 1))})
+    got = _guide_search(cdf, us)
+    for row, got_row in zip(cdf, got):
+        assert got_row.tolist() == np.searchsorted(row, us, side="right").tolist(), row
+
+
+@st.composite
+def _cdf_rows_and_uniforms(draw):
+    n = draw(st.integers(1, 40))
+    shift = 53 - n.bit_length()
+    edge = st.integers(0, 1 << n.bit_length()).map(lambda b: b << shift)
+    # edges, zeros and their neighbours repeat often: zero-probability classes
+    value = st.one_of(st.integers(0, 2**53), edge, edge.map(lambda v: max(v - 1, 0)), st.just(0))
+    cdf = np.sort(np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                         min_size=1, max_size=2)), dtype=np.uint64), axis=1)
+    cdf[:, -1] = 2**53
+    near = st.sampled_from(cdf.ravel().tolist()).flatmap(
+        lambda v: st.sampled_from([max(v - 1, 0), min(v, 2**53 - 1)]))
+    us = draw(st.lists(st.one_of(st.integers(0, 2**53 - 1), near), min_size=1, max_size=20))
+    return cdf, us
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cdf_rows_and_uniforms())
+def test_guide_search_equals_binary_search(case):
+    cdf, us = case
+    got = _guide_search(cdf, us)
+    for row, got_row in zip(cdf, got):
+        assert got_row.tolist() == np.searchsorted(row, np.array(us, dtype=np.uint64),
+                                                   side="right").tolist()
 
 
 def test_batch_prefix_is_independent_of_batch_size(setup7):
