@@ -261,36 +261,41 @@ def intersection_points(
 # vectorised quadrance grid + exhaustive intersection verification
 # ---------------------------------------------------------------------------
 
+def _differences(spec: FieldSpec) -> np.ndarray:
+    """(q, q) table of element indices d[x, z] = z - x."""
+    neg = spec.mul_table()[spec.p - 1]  # multiplication by -1, whose index is p - 1
+    return spec.add_table()[neg[:, None], np.arange(spec.q)[None, :]]
+
+
+def _coordinate_quadrances(params: ConicParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, q) per-coordinate tables qx[x, w] = a*(w - x)^2 and
+    qy[y, w] = b*(w - y)^2; the quadrance between the points (x, y) and
+    (w, z) is qx[x, w] + qy[y, z]."""
+    mul = params.spec.mul_table()
+    d = _differences(params.spec)
+    sq = mul[d, d]
+    return mul[params.a.idx][sq], mul[params.b.idx][sq]
+
+
 def quadrance_value_grid(params: ConicParams, rows: np.ndarray | None = None) -> np.ndarray:
-    """(q^2, q^2) array: entry [u, w] is the quadrance value index between the
-    points with ids u = x*q + y and w.  With ``rows``, an array of point ids,
-    only those rows, in that order."""
-    spec = params.spec
-    q = spec.q
-    xs = np.repeat(np.arange(q), q)
-    ys = np.tile(np.arange(q), q)
-    pick = slice(None) if rows is None else rows
-    a, b = params.a.idx, params.b.idx
-    add = spec.add_table()
-    mul = spec.mul_table()
-    neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
-    dx = add[neg[xs[pick, None]], xs[None, :]]
-    dy = add[neg[ys[pick, None]], ys[None, :]]
-    sq_dx = mul[dx, dx]
-    sq_dy = mul[dy, dy]
-    return add[mul[a, sq_dx], mul[b, sq_dy]]
+    """(q^2, q^2) int64 array: entry [u, w] is the quadrance value index
+    between the points with ids u = x*q + y and w.  With ``rows``, an array
+    of point ids, only those rows, in that order.
+
+    The quadrance is separable by coordinate, so every entry is one lookup
+    add[qx[x_u, x_w], qy[y_u, y_w]] broadcast from the (q, q) tables of
+    ``_coordinate_quadrances``."""
+    q = params.q
+    qx, qy = _coordinate_quadrances(params)
+    xu, yu = np.divmod(np.arange(q * q) if rows is None else np.asarray(rows), q)
+    grid = params.spec.add_table()[qx[xu][:, :, None], qy[yu][:, None, :]]
+    return grid.reshape(len(xu), q * q)
 
 
 def origin_quadrance_values(params: ConicParams) -> np.ndarray:
     """(q^2,) array of quadrance value indices from the origin, by point id."""
-    spec = params.spec
-    q = spec.q
-    xs = np.repeat(np.arange(q), q)
-    ys = np.tile(np.arange(q), q)
-    a, b = params.a.idx, params.b.idx
-    mul = spec.mul_table()
-    add = spec.add_table()
-    return add[mul[a, mul[xs, xs]], mul[b, mul[ys, ys]]]
+    qx, qy = _coordinate_quadrances(params)
+    return params.spec.add_table()[qx[0][:, None], qy[0][None, :]].ravel()
 
 
 def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
@@ -333,8 +338,8 @@ def _check_centre_pairs(
     ``row_x`` and ``rows_y`` are the quadrance grid rows of x and of each y;
     ``predict(ks)`` gives the prediction slices [:, :, ks]."""
     q = math.isqrt(row_x.size)
-    offsets = np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
-    keys = row_x[None, :] * q + rows_y + offsets
+    keys = rows_y + np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
+    keys += row_x * q
     counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
     counts = counts.reshape(len(ys), q, q)
     k_vals = row_x[ys]
@@ -342,12 +347,28 @@ def _check_centre_pairs(
     measured = counts[valid][:, 1:, 1:]
     expected = predict(k_vals[valid])[1:, 1:, :].transpose(2, 0, 1)
     y_sel = ys[valid]
+    wrong = measured != expected
     mismatches = [
         (x, int(y_sel[r]), int(ii + 1), int(jj + 1),
          int(measured[r, ii, jj]), int(expected[r, ii, jj]))
-        for r, ii, jj in np.argwhere(measured != expected)[:20]
+        for r, ii, jj in (np.argwhere(wrong)[:20] if wrong.any() else ())
     ]
     return int(valid.sum()), mismatches
+
+
+def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None:
+    """The first grid entry, in row-major order, off the translation identity
+    grid[x, z] = grid[0, z - x], as ("translation", x, z, grid[x, z],
+    grid[0, z - x]); None when the whole grid keeps it."""
+    q = params.q
+    d = _differences(params.spec)
+    # the point id of z - x, for every pair of point ids (x, z)
+    diff = (d[:, None, :, None] * q + d[None, :, None, :]).reshape(q * q, q * q)
+    broken = grid != grid[0, diff]
+    if not broken.any():
+        return None
+    x, z = divmod(int(broken.argmax()), q * q)
+    return ("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))
 
 
 def verify_intersection_trichotomy(
@@ -378,18 +399,11 @@ def verify_intersection_trichotomy(
 
     if q <= exhaustive_cap:
         pred = predicted_intersection_table(params)
-        grid = quadrance_value_grid(params).astype(np.int64)
-        spec = params.spec
-        add = spec.add_table()
-        neg = spec.mul_table()[spec.p - 1]  # multiplication by -1, whose index is p - 1
-        px, py = np.divmod(np.arange(n_pts), q)  # coordinates of each point id
-        # the point id of z - x, for every pair of point ids (x, z)
-        diff = add[neg[px][:, None], px[None, :]] * q + add[neg[py][:, None], py[None, :]]
-        broken = np.argwhere(grid != grid[0, diff])
-        if len(broken):
-            x, z = broken[0].tolist()
+        grid = quadrance_value_grid(params)
+        broken = _translation_mismatch(params, grid)
+        if broken:
             pairs_checked = 0
-            mismatches = [("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))]
+            mismatches = [broken]
         else:
             pairs, mismatches = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
                                                     np.arange(1, n_pts), grid[1:])
@@ -401,13 +415,19 @@ def verify_intersection_trichotomy(
         others = rng.integers(0, n_pts, size=sample_centers)
         pairs_checked = 0
         mismatches = []
+        slices = {}  # prediction slices by separation: pairs often share one
+
+        def predict(ks):
+            key = tuple(ks.tolist())
+            if key not in slices:
+                slices[key] = predicted_intersection_table(params, ks)
+            return slices[key]
+
         for x, y in zip(starts.tolist(), others.tolist()):
             if x != y:
                 # only the two grid rows and the one prediction slice this pair reads
-                rows = quadrance_value_grid(params, np.array([x, y])).astype(np.int64)
-                pairs, bad = _check_centre_pairs(
-                    lambda ks: predicted_intersection_table(params, ks),
-                    x, rows[0], np.array([y]), rows[1:])
+                rows = quadrance_value_grid(params, np.array([x, y]))
+                pairs, bad = _check_centre_pairs(predict, x, rows[0], np.array([y]), rows[1:])
                 pairs_checked += pairs
                 mismatches += bad
     return {

@@ -193,32 +193,36 @@ def _class_array(params: ConicParams, split: bool) -> np.ndarray:
 def oracle_table(
     params: ConicParams, split: bool = True, cap: int = ORACLE_CAP
 ) -> StructureTable:
-    """Exact structure constants by enumerating all q^4 ordered point pairs."""
+    """Exact structure constants by enumerating all q^4 ordered point pairs.
+
+    Point addition is separable by coordinate, so the class of u + v is read
+    from the (q, q, q) table by_x[X, y_u, y_v], the class of the point
+    (X, y_u + y_v).  The pairs are enumerated one x_u plane at a time: the
+    plane's sum classes are by_x[x_u + x_v], keyed with the classes of u and
+    v and counted by one bincount."""
     q = params.q
     if q > cap:
         raise CapExceeded(f"q = {q} exceeds the oracle cap {cap}")
-    spec = params.spec
     split = split and params.split
     classes = index_set(params, split=split)
     n_classes = len(classes)
-    cls = _class_array(params, split)
-    n_pts = q * q
-    xs = np.repeat(np.arange(q), q)
-    ys = np.tile(np.arange(q), q)
-    add = spec.add_table()
+    cls = _class_array(params, split).reshape(q, q)  # cls[x, y]
+    add = params.spec.add_table()
+    by_x = cls[:, add]
+    # key terms of the classes of u = (x_u, y_u) and v = (x_v, y_v), laid
+    # out for key[x_v, y_u, y_v] in the plane of x_u
+    key_u = cls[:, None, :, None] * n_classes**2
+    key_v = cls[:, None, :] * n_classes
 
     counts = np.zeros(n_classes**3, dtype=np.int64)
-    block = max(1, 2_000_000 // n_pts)
-    for start in range(0, n_pts, block):
-        stop = min(start + block, n_pts)
-        sx = add[xs[start:stop, None], xs[None, :]]
-        sy = add[ys[start:stop, None], ys[None, :]]
-        sum_cls = cls[sx * q + sy]
-        key = (cls[start:stop, None] * n_classes + cls[None, :]) * n_classes + sum_cls
+    for x_u in range(q):
+        key = by_x[add[x_u]]
+        key += key_v
+        key += key_u[x_u]
         counts += np.bincount(key.ravel(), minlength=n_classes**3)
     counts = counts.reshape(n_classes, n_classes, n_classes)
 
-    sizes = np.bincount(cls, minlength=n_classes)
+    sizes = np.bincount(cls.ravel(), minlength=n_classes)
     return StructureTable(params, classes, sizes, counts, "oracle", split)
 
 

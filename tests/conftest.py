@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conicwalk import ConicParams, build_table, make_field
@@ -18,6 +20,13 @@ def smallest_nonsquare(spec):
 
 def smallest_square_above_one(spec):
     return next(e for e in spec.elements() if e.idx > 1 and spec.chi_idx(e.idx) == 1)
+
+
+def seeded_weights(spec, seed):
+    """Seeded weights (a, b), a != 1, with a*b a square: b = a * s^2."""
+    rng = random.Random(seed)
+    a, s = rng.randrange(2, spec.q), rng.randrange(1, spec.q)
+    return a, spec.mul_idx(a, spec.mul_idx(s, s))
 
 
 @pytest.fixture(scope="session")

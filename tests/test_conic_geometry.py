@@ -1,6 +1,6 @@
-import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conicwalk import (
@@ -26,7 +26,7 @@ from conicwalk import (
 from conicwalk import conic_geometry
 from conicwalk.errata import published_f_discriminant
 
-from conftest import TEST_FIELDS, smallest_nonsquare, smallest_square_above_one
+from conftest import TEST_FIELDS, seeded_weights, smallest_nonsquare, smallest_square_above_one
 
 
 def _pt(spec, x, y):
@@ -274,13 +274,46 @@ def test_intersection_trichotomy_pairs_checked(p, d):
 @pytest.mark.parametrize("p,d", [(5, 2), (3, 3)])
 def test_intersection_trichotomy_exhaustive_at_seeded_weights(p, d, seed):
     spec = make_field(p, d)
-    rng = random.Random(seed)
-    a, s = rng.randrange(2, spec.q), rng.randrange(1, spec.q)
-    params = ConicParams(spec, a, spec.mul_idx(a, spec.mul_idx(s, s)))
+    params = ConicParams(spec, *seeded_weights(spec, seed))
     result = verify_intersection_trichotomy(params)
     assert result["ok"], result["mismatches"][:5]
     # the isotropic points, hence the pairs at quadrance 0, do not depend on the weights
     assert result["pairs_checked"] == TRICHOTOMY_PAIRS[(p, d)]
+
+
+@pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
+def test_quadrance_value_grid_matches_scalar_quadrance(p, d, seed):
+    spec = make_field(p, d)
+    params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
+    points = [_pt(spec, *divmod(u, spec.q)) for u in range(spec.q ** 2)]
+    grid = conic_geometry.quadrance_value_grid(params)
+    assert grid.tolist() == [[quadrance(u, w, params).idx for w in points] for u in points]
+
+
+@pytest.mark.parametrize("rows", [[40, 3, 77, 3, 0, 80, 3], [80], [5, 5]])
+def test_quadrance_value_grid_rows_are_rows_of_the_grid(rows):
+    spec = make_field(3, 2)
+    params = ConicParams(spec, *seeded_weights(spec, 3))
+    grid = conic_geometry.quadrance_value_grid(params)
+    got = conic_geometry.quadrance_value_grid(params, np.array(rows))
+    assert got.shape == (len(rows), 81)
+    assert np.array_equal(got, grid[rows])
+
+
+def test_exhaustive_trichotomy_memory():
+    # the grid, its translation check and the q^2 - 1 histograms at q = 31;
+    # building the grid and the difference table element-wise took 49.4 MiB
+    params = ConicParams(make_prime_field(31), 1, 1)
+    for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
+        table()  # the cached field tables are not the check's own memory
+    tracemalloc.start()
+    try:
+        result = verify_intersection_trichotomy(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["ok"] and result["pairs_checked"] == TRICHOTOMY_PAIRS[(31, 1)]
+    assert peak < 45 * 2**20
 
 
 @pytest.mark.parametrize("x,z", [(5, 17), (48, 0)])
@@ -333,6 +366,22 @@ def test_sampled_trichotomy_catches_a_flipped_prediction(monkeypatch):
     result = verify_intersection_trichotomy(params, sample_centers=20)
     assert not result["ok"]
     assert {(i, j) for _, _, i, j, _, _ in result["mismatches"]} == {(1, 2)}
+
+
+def test_sampled_trichotomy_builds_each_prediction_slice_once(monkeypatch):
+    params = ConicParams(make_prime_field(37), 1, 1)
+    real = conic_geometry.predicted_intersection_table
+    built = []
+
+    def counted(params, ks=None):
+        built.append(tuple(ks.tolist()))
+        return real(params, ks)
+
+    monkeypatch.setattr(conic_geometry, "predicted_intersection_table", counted)
+    result = verify_intersection_trichotomy(params)
+    assert result["ok"] and result["pairs_checked"] == 192
+    # the 200 sampled pairs share at most q separations, 0 included
+    assert len(built) == len(set(built)) <= params.q
 
 
 def test_intersection_trichotomy_sampled_large():

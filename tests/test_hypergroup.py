@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,10 @@ from conicwalk import (
     ClassIndex,
     ConicParams,
     IndexInvalid,
+    Point,
     build_table,
     class_size,
+    classify,
     closed_row,
     index_set,
     make_field,
@@ -24,7 +28,7 @@ from conicwalk import (
 from conicwalk.cli import admissible_prime_powers
 from conicwalk.errata import errata_entries
 
-from conftest import TEST_FIELDS, smallest_nonsquare, smallest_square_above_one
+from conftest import TEST_FIELDS, seeded_weights, smallest_nonsquare, smallest_square_above_one
 
 
 def _cls(spec, v):
@@ -65,6 +69,62 @@ def test_row_sums_and_commutativity_oracle_gf9():
         for j in t.classes:
             assert sum(t.row(i, j)) == 1
             assert t.row(i, j) == t.row(j, i)
+
+
+@pytest.mark.parametrize("p,d,split", [(5, 1, True), (5, 1, False), (7, 1, True),
+                                       (3, 2, True), (3, 2, False)])
+@pytest.mark.parametrize("seed", [None, 11])
+def test_oracle_matches_scalar_pair_count(p, d, split, seed):
+    # all q^4 ordered pairs (u, v) counted with scalar point addition and
+    # classify, none of the oracle's index tables
+    spec = make_field(p, d)
+    params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
+    classes = index_set(params, split=split)
+    pos = {c: t for t, c in enumerate(classes)}
+    points = [Point(x, y) for x in spec.elements() for y in spec.elements()]
+    of = [pos[classify(u, params, split=split)] for u in points]
+    counts = np.zeros((len(classes),) * 3, dtype=np.int64)
+    for u, i in zip(points, of):
+        for v, j in zip(points, of):
+            counts[i, j, pos[classify(u + v, params, split=split)]] += 1
+    table = oracle_table(params, split=split)
+    assert table.classes == classes
+    assert np.array_equal(table.counts, counts)
+    assert table.sizes == np.bincount(of, minlength=len(classes)).tolist()
+
+
+# sha256 of the little-endian count bytes, as the block-wise enumeration that
+# preceded the per-plane one gave them: at the fields of the table_verify
+# benchmark with its seed-1 weights (p, d, a, b), and at GF(61)
+ORACLE_DIGESTS = {
+    (5, 2, 23, 7): "a378ec9848f604b73e4bb85e412910503ceed2eb09194feb57dd00f8e4c30f8a",
+    (3, 3, 1, 25): "9dc8d52c582195ff173b5b6abf34cd46b55e19504d47ef27af6b4eb0ace44d55",
+    (31, 1, 24, 27): "011d0bfe19fdb473691a8048beaaa10b0b03a1c0ddfbf7790db447ed8d9e3f15",
+    (7, 2, 28, 3): "ce9a42f540b333f5120fecab9bc4e9ae2603d380f5553ed6d8eb5995968a0feb",
+    (61, 1, 1, 1): "27f3a1994be7792fbea549608122e8825fdfb2164663efbc7da1e72d5d504a20",
+}
+
+
+@pytest.mark.parametrize("p,d,a,b", list(ORACLE_DIGESTS))
+def test_oracle_counts_digest(p, d, a, b):
+    counts = oracle_table(ConicParams(make_field(p, d), a, b)).counts
+    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == ORACLE_DIGESTS[(p, d, a, b)]
+
+
+def test_oracle_memory_is_per_plane():
+    # one (q, q, q) plane of keys at a time; the block-wise enumeration
+    # peaked at 92.5 MiB at q = 49
+    params = ConicParams(make_field(7, 2), 1, 1)
+    for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
+        table()  # the cached field tables are not the oracle's own memory
+    tracemalloc.start()
+    try:
+        oracle_table(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
