@@ -373,13 +373,12 @@ def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None
 
 def verify_intersection_trichotomy(
     params: ConicParams,
-    exhaustive_cap: int = EXHAUSTIVE_CENTER_CAP,
     sample_centers: int = 200,
     seed: int = 0,
 ) -> dict:
     """Check measured pairwise circle intersections against the trichotomy.
 
-    For q <= ``exhaustive_cap`` every unordered centre pair X != Y with
+    For q <= ``EXHAUSTIVE_CENTER_CAP`` every unordered centre pair X != Y with
     nonzero separation quadrance is checked against every nonzero (i, j).
     Since Q(X, Z) = Q(0, Z - X), the pair (X, Y) has the same intersection
     histogram as (0, Y - X): the check verifies that translation identity on
@@ -397,7 +396,7 @@ def verify_intersection_trichotomy(
     q = params.q
     n_pts = q * q
 
-    if q <= exhaustive_cap:
+    if q <= EXHAUSTIVE_CENTER_CAP:
         pred = predicted_intersection_table(params)
         grid = quadrance_value_grid(params)
         broken = _translation_mismatch(params, grid)

@@ -32,6 +32,7 @@ from .walk_analysis import Distribution, Kernel, ergodicity_check
 
 STREAM = "splitmix64-trial-counter/v1"
 COALESCENCE_STEP_LIMIT = 10**6
+BOOTSTRAP_RESAMPLES = 1000
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -125,8 +126,8 @@ class _Lockstep:
         counter = (trials << np.uint64(32)) + np.asarray(j, np.uint64) + 1
         return self.table.search(rows, _splitmix64(self.key, counter))
 
-    def meeting_times(self, x0: int, trials: np.ndarray, marginal_steps: tuple[int, ...],
-                      step_limit: int) -> tuple[np.ndarray, dict]:
+    def meeting_times(self, x0: int, trials: np.ndarray,
+                      marginal_steps: tuple[int, ...]) -> tuple[np.ndarray, dict]:
         """Meeting times of the trials' chain pairs, and per step in
         ``marginal_steps`` the stationary chain's class counts."""
         n, m = self.n, trials.size
@@ -143,8 +144,8 @@ class _Lockstep:
                 marg[t] += np.bincount(y, minlength=n)
             if not walking.size and t >= horizon:
                 return times, marg
-            if walking.size and t >= step_limit:
-                raise WalkTimeout(f"no coalescence within {step_limit} steps")
+            if walking.size and t >= COALESCENCE_STEP_LIMIT:
+                raise WalkTimeout(f"no coalescence within {COALESCENCE_STEP_LIMIT} steps")
             t += 1
             if t <= horizon:  # chains that have met move together: one draw
                 both = np.flatnonzero(met)
@@ -158,8 +159,7 @@ class _Lockstep:
             walking = walking[xs != ys]
 
 
-def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed,
-                step_limit: int = COALESCENCE_STEP_LIMIT) -> int:
+def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
     """First meeting time of the fixed-start chain and a stationary chain.
 
     ``seed`` is (s, t) for trial t of the batch with seed s; an int s means
@@ -168,7 +168,7 @@ def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed,
     """
     s, trial = seed if isinstance(seed, tuple) else (seed, 0)
     times, _ = _Lockstep(k, pi, s).meeting_times(
-        k.position(i), np.array([trial], dtype=np.uint64), (), step_limit)
+        k.position(i), np.array([trial], dtype=np.uint64), ())
     return int(times[0])
 
 
@@ -224,7 +224,7 @@ def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
         raise ValueError("trials must be >= 1")
     times, marg = _Lockstep(k, pi, seed).meeting_times(
         k.position(start), np.arange(trials, dtype=np.uint64),
-        tuple(sorted(set(marginal_steps))), COALESCENCE_STEP_LIMIT)
+        tuple(sorted(set(marginal_steps))))
     return CouplingStats(
         start=start.label(),
         step=k.step.label(),
@@ -264,8 +264,7 @@ class MonteCarloTV:
 
 
 def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
-                   k: Kernel, pi: Distribution,
-                   bootstrap: int = 1000) -> MonteCarloTV:
+                   k: Kernel, pi: Distribution) -> MonteCarloTV:
     """Empirical TV between the law of X_t (started at i) and pi.
 
     The interval comes from the triangle inequality
@@ -290,7 +289,7 @@ def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
     estimate = 0.5 * float(np.abs(emp - pi.probs).sum())
 
     boot_rng = _rng((seed, 1 << 32))  # sub-seed outside the trial-index range
-    resampled = boot_rng.multinomial(trials, emp / emp.sum(), size=bootstrap) / trials
+    resampled = boot_rng.multinomial(trials, emp / emp.sum(), size=BOOTSTRAP_RESAMPLES) / trials
     boot_noise = 0.5 * np.abs(resampled - emp[None, :]).sum(axis=1)
     radius = float(np.percentile(boot_noise, 97.5))
     return MonteCarloTV(

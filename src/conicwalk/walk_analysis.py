@@ -11,11 +11,18 @@ sum_i N_i c[i, j] = N_s N_j at every q, and the minorization constant is
 exact while N_s^m < 2^53, where the one float64 power of c holds exact
 integers.  Mixing times and TV curves run in float64 with explicit
 tolerances (mixing times here are O(q) steps, so accumulated error stays
-far below them).
+far below them), on one forward loop of vector-matrix products.
+
+The worst-start TV is the TV from the origin class.  A class start is a
+mixture of point starts, and every point start has the same TV by
+translation invariance.  The classes are the orbits of O(Q), which fixes
+the step circle, so the law started at the origin stays uniform on each
+class: its class TV is its point TV.  One row then gives the worst start.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,6 +177,13 @@ def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
     return Kernel(params, classes, s, counts, [class_size(c, params) for c in classes])
 
 
+def _laws(k: Kernel, vec: np.ndarray):
+    """vec, vec K, vec K^2, ...: the one float forward loop of the walk."""
+    while True:
+        yield vec
+        vec = vec @ k.mat
+
+
 def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribution:
     """d0 K^n by iterated vector-matrix products."""
     if d0.classes != k.classes:
@@ -187,10 +201,7 @@ def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribu
             num = num @ step
         vec = [Fraction(v, den * k.step_size ** n) for v in num.tolist()]
         return Distribution(k.classes, [float(v) for v in vec], vec)
-    vec = d0.probs.copy()
-    for _ in range(n):
-        vec = vec @ k.mat
-    return Distribution(k.classes, vec)
+    return Distribution(k.classes, next(itertools.islice(_laws(k, d0.probs.copy()), n, None)))
 
 
 def haar(params: ConicParams) -> Distribution:
@@ -211,19 +222,9 @@ class ErgodicityReport:
     irreducible: bool
     period: int | None
     unreachable: list[str]
-    self_loop: str | None
 
     def __bool__(self) -> bool:
         return self.ergodic
-
-    def to_json(self) -> dict:
-        return {
-            "ergodic": self.ergodic,
-            "irreducible": self.irreducible,
-            "period": self.period,
-            "unreachable": self.unreachable,
-            "self_loop": self.self_loop,
-        }
 
 
 def ergodicity_check(k: Kernel) -> ErgodicityReport:
@@ -268,14 +269,12 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
             for v in support[u]:
                 g = math.gcd(g, level[u] + 1 - level[v])
         period = abs(g) if g else 0
-    self_loop = next((k.classes[i].label() for i in range(n) if positive[i, i]), None)
     ergodic = irreducible and period == 1
     return ErgodicityReport(
         ergodic=ergodic,
         irreducible=irreducible,
         period=period,
         unreachable=[k.classes[t].label() for t in unreachable],
-        self_loop=self_loop,
     )
 
 
@@ -296,13 +295,11 @@ def stationary(k: Kernel, method: str = "auto") -> Distribution:
         return Distribution(k.classes, [float(v) for v in exact], exact)
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
-    n = k.size
-    vec = np.full(n, 1.0 / n)
-    for _ in range(100_000):
-        nxt = vec @ k.mat
+    laws = _laws(k, np.full(k.size, 1.0 / k.size))
+    vec = next(laws)
+    for nxt in itertools.islice(laws, 100_000):
         if np.abs(nxt - vec).max() <= STATIONARY_TOL:
-            nxt /= nxt.sum()
-            return Distribution(k.classes, nxt)
+            return Distribution(k.classes, nxt / nxt.sum())
         vec = nxt
     raise WalkTimeout("power iteration did not reach the residual tolerance")
 
@@ -318,37 +315,20 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     return 0.5 * float(np.abs(mu.probs - nu.probs).sum())
 
 
-def _tv_rows(mat: np.ndarray, pi: np.ndarray) -> float:
-    return 0.5 * np.abs(mat - pi[None, :]).sum(axis=1).max()
+def _worst_tv(k: Kernel, pi: Distribution):
+    """Worst-start TV to pi at t = 0, 1, ...: the TV from the origin class
+    (see the module docstring)."""
+    if pi.classes != k.classes:
+        raise IndexMismatch("stationary vector on a different index set")
+    start = np.zeros(k.size)
+    start[k.position(ClassIndex.finite(k.params.spec.zero))] = 1.0
+    for vec in _laws(k, start):
+        yield 0.5 * float(np.abs(vec - pi.probs).sum())
 
 
 def max_tv_curve(k: Kernel, pi: Distribution, t_max: int) -> list[float]:
-    """Worst-initial-state TV to pi for t = 0..t_max (scans every start)."""
-    if pi.classes != k.classes:
-        raise IndexMismatch("stationary vector on a different index set")
-    mat = np.eye(k.size)
-    curve = [_tv_rows(mat, pi.probs)]
-    for _ in range(t_max):
-        mat = mat @ k.mat
-        curve.append(_tv_rows(mat, pi.probs))
-    return curve
-
-
-def mixing_time_bound(q: int, branch: int) -> int:
-    """Proven upper bound on the mixing time at epsilon = 1/(2e).
-
-    branch 3: 4 * ceil((1+ln 2) (q+1)^4 / (q^2 (q-1))), from the four-step
-    minorization constant q^2(q-1)/(q+1)^4.
-    branch 1: 6 * ceil((1+ln 2) * 3q), from the six-step constant 1/(3q).
-    """
-    if branch not in (1, 3):
-        raise BranchMismatch(f"branch must be 1 or 3, got {branch}")
-    if q % 4 != branch:
-        raise BranchMismatch(f"q = {q} is not {branch} (mod 4)")
-    c0 = 1.0 + math.log(2.0)
-    if branch == 3:
-        return 4 * math.ceil(c0 * (q + 1) ** 4 / (q * q * (q - 1)))
-    return 6 * math.ceil(c0 * 3 * q)
+    """Worst-initial-state TV to pi for t = 0..t_max."""
+    return list(itertools.islice(_worst_tv(k, pi), t_max + 1))
 
 
 def minorization_reference(q: int, branch: int) -> tuple[int, Fraction]:
@@ -363,31 +343,31 @@ def minorization_reference(q: int, branch: int) -> tuple[int, Fraction]:
     return 6, Fraction(1, 3 * q)
 
 
+def mixing_time_bound(q: int, branch: int) -> int:
+    """Proven upper bound m * ceil((1 + ln 2) / c) on the mixing time at
+    epsilon = 1/(2e), from the reference minorization (m, c)."""
+    m, c = minorization_reference(q, branch)
+    return m * math.ceil((1.0 + math.log(2.0)) * c.denominator / c.numerator)
+
+
 def mixing_time(k: Kernel, pi: Distribution, eps: float,
                 return_curve: bool = False):
     """Smallest t with worst-start TV at most eps; the curve is checked to be
     non-increasing (it provably is for these kernels)."""
     if not eps > 0:  # also rejects nan
         raise ValueError("eps must be positive")
-    if eps >= 1:
-        return (0, [0.0]) if return_curve else 0
     if not ergodicity_check(k):
         raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
     limit = 100 * mixing_time_bound(k.q, k.branch)
-    mat = np.eye(k.size)
-    curve = [_tv_rows(mat, pi.probs)]
-    t = 0
-    while curve[-1] > eps:
+    curve = []
+    for t, tv in enumerate(_worst_tv(k, pi)):
+        if curve and tv > curve[-1] + MONOTONE_SLACK:
+            raise InternalCheckError(f"worst-start TV increased at t={t}: {curve[-1]} -> {tv}")
+        curve.append(tv)
+        if tv <= eps:
+            return (t, curve) if return_curve else t
         if t > limit:
             raise WalkTimeout(f"no mixing below eps={eps} within {limit} steps")
-        mat = mat @ k.mat
-        t += 1
-        curve.append(_tv_rows(mat, pi.probs))
-        if curve[-1] > curve[-2] + MONOTONE_SLACK:
-            raise InternalCheckError(
-                f"worst-start TV increased at t={t}: {curve[-2]} -> {curve[-1]}"
-            )
-    return (t, curve) if return_curve else t
 
 
 def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction | None, float]:
@@ -451,12 +431,8 @@ def geometric_decay_check(k: Kernel, pi: Distribution, m: int, c,
                           n_max: int = 30) -> list[DecayCheck]:
     """Worst-start TV at step m*n against (1-c)^n + slack for n = 1..n_max."""
     c = float(c)
-    step = np.linalg.matrix_power(k.mat, m)
-    mat = np.eye(k.size)
     out = []
-    for n in range(1, n_max + 1):
-        mat = mat @ step
-        measured = _tv_rows(mat, pi.probs)
+    for n, measured in enumerate(itertools.islice(_worst_tv(k, pi), m, m * n_max + 1, m), 1):
         bound = (1.0 - c) ** n + DECAY_SLACK
         out.append(DecayCheck(n=n, measured=measured, bound=bound, ok=measured <= bound))
     return out

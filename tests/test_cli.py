@@ -118,6 +118,15 @@ def test_mixing_report(tmp_path):
     assert payload["mixing"]["tau"] <= 96
 
 
+def test_mixing_at_eps_1_reports_the_tv_at_t_0():
+    r = run_main("mixing", "--p", "7", "--eps", "1")
+    assert r.returncode == 0, r.stderr
+    mix = json.loads(r.stdout)["mixing"]
+    assert mix["tau"] == 0
+    # TV(origin, pi) = 1 - pi(C[0]) = 48/49
+    assert len(mix["curve"]) == 1 and abs(mix["curve"][0] - 48 / 49) <= 1e-15
+
+
 def test_minorize_gf13(tmp_path):
     out = tmp_path / "min.json"
     r = run_main("minorize", "--p", "13", "--steps", "6", "--out", str(out))
@@ -307,6 +316,7 @@ def test_minorize_reports_exact_zero():
     # the identity step kernel never mixes: a user error, not an internal one
     ("couple", "--p", "7", "--trials", "10", "--s", "0"),
     ("stationary", "--p", "7", "--s", "0"),
+    ("mixing", "--p", "7", "--s", "0", "--eps", "1"),
     # a field above the oracle cap is rejected before anything is written
     ("constants", "--p", "13", "--verify-oracle", "--cap", "10"),
     ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--cap", "10"),

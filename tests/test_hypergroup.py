@@ -17,6 +17,7 @@ from conicwalk import (
     class_size,
     classify,
     closed_row,
+    haar,
     index_set,
     make_field,
     make_prime_field,
@@ -26,7 +27,7 @@ from conicwalk import (
     verify_axioms,
 )
 from conicwalk.cli import admissible_prime_powers
-from conicwalk.errata import errata_entries
+from conicwalk.errata import errata_entries, published_six_step_reference
 
 from conftest import TEST_FIELDS, seeded_weights, smallest_nonsquare, smallest_square_above_one
 
@@ -429,3 +430,13 @@ def test_errata_entries_shape():
         assert set(e) == {"location", "published_value", "oracle_value"}
     locations = {e["location"] for e in entries}
     assert "isotropic_times_finite_row_support" in locations
+
+
+@pytest.mark.parametrize("p,d", [(13, 1), (5, 2)])
+def test_published_six_step_reference_is_not_a_distribution(p, d):
+    params = ConicParams(make_field(p, d), 1, 1)
+    q = params.q
+    published = published_six_step_reference(params)
+    # the total mass that errata_entries() states for the published vector
+    assert sum(published) == Fraction(q * q + 2 * q - 1, q * q)
+    assert published != haar(params).exact

@@ -18,6 +18,7 @@ from conicwalk import (
     evolve,
     geometric_decay_check,
     haar,
+    index_set,
     kernel,
     kernel_for_step,
     make_field,
@@ -31,6 +32,8 @@ from conicwalk import (
     stationary,
     tv_distance,
 )
+
+from conftest import seeded_weights
 
 EPS_REF = 1.0 / (2.0 * math.e)
 
@@ -260,14 +263,45 @@ def test_mixing_time_gf13(k13, pi13):
 def test_mixing_time_not_ergodic():
     p7 = ConicParams(make_prime_field(7), 1, 1)
     k = kernel_for_step(p7, _cls(p7.spec, 0))
-    with pytest.raises(NotErgodic):
-        mixing_time(k, haar(p7), 0.1)
+    for eps in (0.1, 1.0):  # eps >= 1 is no way round the check
+        with pytest.raises(NotErgodic):
+            mixing_time(k, haar(p7), eps)
 
 
 def test_max_tv_curve_non_increasing(k7, k13, pi7, pi13):
     for k, pi in ((k7, pi7), (k13, pi13)):
         curve = max_tv_curve(k, pi, 40)
         assert all(curve[t + 1] <= curve[t] + 1e-12 for t in range(40))
+
+
+def _max_tv_over_all_starts(k, pi, t_max):
+    """Worst-start TV for t = 0..t_max from the q x q powers of K, scanning
+    every start row."""
+    mat = np.eye(k.size)
+    curve = []
+    for _ in range(t_max + 1):
+        curve.append(0.5 * np.abs(mat - pi.probs[None, :]).sum(axis=1).max())
+        mat = mat @ k.mat
+    return curve
+
+
+@pytest.mark.parametrize("p,d,weights", [
+    (7, 1, (1, 1)), (3, 2, (1, 1)), (13, 1, (1, 4)), (5, 2, "seeded"), (3, 3, "seeded"),
+], ids=["GF7", "GF9", "GF13-a1-b4", "GF25-seeded", "GF27-seeded"])
+def test_max_tv_curve_is_the_max_over_all_starts(p, d, weights):
+    # the origin class is the worst start: max_tv_curve reads its row alone
+    spec = make_field(p, d)
+    params = ConicParams(spec, *(seeded_weights(spec, 1) if weights == "seeded" else weights))
+    pi = haar(params)
+    checked = 0
+    for s in index_set(params):
+        k = kernel_for_step(params, s)
+        if not ergodicity_check(k):
+            continue
+        want = _max_tv_over_all_starts(k, pi, 12)
+        assert max_tv_curve(k, pi, 12) == pytest.approx(want, rel=0, abs=1e-14), s
+        checked += 1
+    assert checked == len(index_set(params)) - 1  # every step class but C[0]
 
 
 def test_mixing_time_same_for_all_steps():
