@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conic_geometry import ClassIndex
-from .errors import IndexInvalid, NotErgodic, WalkTimeout
-from .walk_analysis import Distribution, Kernel, ergodicity_check
+from .errors import IndexInvalid, WalkTimeout
+from .walk_analysis import Distribution, Kernel
 
 STREAM = "splitmix64-trial-counter/v1"
 COALESCENCE_STEP_LIMIT = 10**6
@@ -114,8 +114,7 @@ class _Lockstep:
     def __init__(self, k: Kernel, pi: Distribution, seed: int):
         if pi.classes != k.classes:
             raise IndexInvalid("pi and kernel index sets differ")
-        if not ergodicity_check(k):
-            raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
+        k.require_ergodic()
         self.n = k.size
         self.key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
         self.table = _GuideTable(

@@ -148,25 +148,26 @@ class FieldSpec:
     # -- scalar index arithmetic ---------------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
-        return int(self.add_table()[i, j])
+        return self.add_table().item(i, j)
 
     def neg_idx(self, i: int) -> int:
-        return int(self.mul_table()[self.p - 1, i])  # p - 1 is the index of -1
+        return self.mul_table().item(self.p - 1, i)  # p - 1 is the index of -1
 
     def sub_idx(self, i: int, j: int) -> int:
         return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i: int, j: int) -> int:
-        return int(self.mul_table()[i, j])
+        return self.mul_table().item(i, j)
 
     def pow_idx(self, i: int, n: int) -> int:
         if n < 0:
             raise ValueError("negative exponent; use inv_idx")
+        mul = self.mul_table()
         acc, base = 1, i
         while n:
             if n & 1:
-                acc = self.mul_idx(acc, base)
-            base = self.mul_idx(base, base)
+                acc = mul.item(acc, base)
+            base = mul.item(base, base)
             n >>= 1
         return acc
 
@@ -177,10 +178,10 @@ class FieldSpec:
 
     def chi_idx(self, i: int) -> int:
         """Quadratic character from the cached square-enumeration table."""
-        return int(self.chi_table()[i])
+        return self.chi_table().item(i)
 
     def sqrt_idx(self, i: int) -> int | None:
-        r = int(self.sqrt_table()[i])
+        r = self.sqrt_table().item(i)
         return None if r < 0 else r
 
     # -- cached tables --------------------------------------------------------

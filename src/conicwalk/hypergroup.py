@@ -232,42 +232,49 @@ def oracle_table(
 
 def closed_row(
     params: ConicParams,
-    ci: ClassIndex,
+    rows: list[ClassIndex],
     cj: ClassIndex,
     published_isotropic_row: bool = False,
 ) -> np.ndarray:
-    """The closed-form count row C[ci, cj, k] = n[ci, cj, k] * N_ci * N_cj
-    over k (int64, canonical class order)."""
-    q = params.q
-    row = np.zeros(q + params.split, dtype=np.int64)
-    if ci.is_zero or cj.is_zero:
-        other = cj if ci.is_zero else ci
-        row[q if other.is_isotropic else other.value.idx] = class_size(other, params)
-        return row
-
-    ks = np.arange(q)
-    if params.branch == 3:
-        # n = (1 + chi(f)) / (q + 1) with N_i = N_j = q + 1, zero class included
-        return (discriminant_character(params.spec, ci.value.idx, cj.value.idx, ks) + 1) * (q + 1)
-
-    w = q - 1  # size of every nonzero finite class
-    if ci.is_isotropic and cj.is_isotropic:
-        # n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
-        row[:q] = 2 * w
-        row[q] = 2 * (q - 2) * w
-        return row
-    if ci.is_isotropic or cj.is_isotropic:
-        j = (cj if ci.is_isotropic else ci).value.idx
-        row[:] = 2 * w  # n = 1/w
-        row[j] = 0
-        # the stated variant puts mass on the zero class; the enumeration says none
-        row[0] = 2 * w if published_isotropic_row else 0
-        return row
-    i, j = ci.value.idx, cj.value.idx
-    row[:q] = (discriminant_character(params.spec, i, j, ks) + 1) * w
-    row[0] = w if i == j else 0
-    row[q] = 0 if i == j else 2 * w
-    return row
+    """The closed-form count rows C[ci, cj, k] = n[ci, cj, k] * N_ci * N_cj over
+    k (int64, canonical class order), one per class ci of ``rows``, stacked.
+    One character call covers the (ci, k) grid of the finite nonzero rows;
+    the zero and isotropic rows and columns are set by index."""
+    q, r = params.q, np.arange(len(rows))
+    pos = np.array([q if c.is_isotropic else c.value.idx for c in rows], dtype=np.int64)
+    out = np.zeros((len(rows), q + params.split), dtype=np.int64)
+    if cj.is_zero:
+        # n[ci, 0, k] = delta(ci, k)
+        out[r, pos] = [class_size(c, params) for c in rows]
+        return out
+    j = q if cj.is_isotropic else cj.value.idx
+    fin = (pos > 0) & (pos < q)
+    if j < q:
+        # finite i x finite j: n = (1 + chi(f)) / N over the finite classes k,
+        # N = N_i = N_j the size of every nonzero finite class
+        size = class_size(cj, params)
+        chi = discriminant_character(params.spec, pos[fin, None], j, np.arange(q))
+        out[fin, :q] = (chi + 1) * size
+        if params.split:
+            # the null cone: the origin when i = j, else the isotropic class
+            same = pos[fin] == j
+            out[fin, 0] = np.where(same, size, 0)
+            out[fin, q] = np.where(same, 0, 2 * size)
+    if params.split:
+        w = q - 1
+        if j == q:
+            # iso x iso: n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
+            out[pos == q, :q] = 2 * w
+            out[pos == q, q] = 2 * (q - 2) * w
+        # one isotropic side, the other the finite class f: n = 1/w off f; the
+        # stated variant puts mass on the zero class, the enumeration none
+        one = fin if j == q else pos == q
+        out[one] = 2 * w
+        out[r[one], pos[one] if j == q else j] = 0
+        out[one, 0] = 2 * w if published_isotropic_row else 0
+    # n[0, cj, k] = delta(cj, k)
+    out[pos == 0, j] = class_size(cj, params)
+    return out
 
 
 def structure_constant(
@@ -282,7 +289,7 @@ def structure_constant(
     for c in (i, j, k):
         if c not in classes:
             raise IndexInvalid(f"{c!r} is not a class over {params.spec!r}")
-    row = closed_row(params, i, j, published_isotropic_row=published_isotropic_row)
+    row = closed_row(params, [i], j, published_isotropic_row=published_isotropic_row)[0]
     return Fraction(int(row[classes.index(k)]), class_size(i, params) * class_size(j, params))
 
 
@@ -302,10 +309,9 @@ def build_table(
         raise ValueError("no closed form for the unsplit diagnostic; use the oracle")
     classes = index_set(params)
     sizes = [class_size(c, params) for c in classes]
-    counts = np.array(
-        [[closed_row(params, ci, cj, published_isotropic_row) for cj in classes]
-         for ci in classes]
-    )
+    # one call per column class j gives the plane C[:, j, :]
+    counts = np.stack(
+        [closed_row(params, classes, cj, published_isotropic_row) for cj in classes], axis=1)
     return StructureTable(
         params, classes, sizes, counts, "closed-form", split=True,
         validate=not published_isotropic_row,

@@ -96,6 +96,19 @@ class Kernel:
             raise IndexInvalid(f"{c!r} not in kernel index set") from None
 
     @cached_property
+    def ergodicity(self) -> ErgodicityReport:
+        """The ergodicity verdict, computed once per kernel."""
+        return ergodicity_check(self)
+
+    def require_ergodic(self) -> None:
+        """Raise ``NotErgodic``, with its reason, unless the walk is ergodic."""
+        rep = self.ergodicity
+        if not rep:
+            reason = (f"period {rep.period}" if rep.irreducible else
+                      f"{len(rep.unreachable)} classes do not communicate with C[0]")
+            raise NotErgodic(f"kernel with step {self.step!r} is not ergodic: {reason}")
+
+    @cached_property
     def rat(self) -> list[list[Fraction]]:
         """``Fraction`` view rat[i][j] = K(i, j)."""
         return [[Fraction(c, self.step_size) for c in row] for row in self.step_counts.tolist()]
@@ -121,7 +134,8 @@ class Distribution:
             raise ValueError("probability vector has wrong length")
         if self.probs.min() < -1e-15 or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValueError("not a probability vector")
-        if self.exact is not None and sum(self.exact) != 1:
+        den = math.lcm(*(v.denominator for v in self.exact or ()))  # one common denominator
+        if self.exact and sum(v.numerator * (den // v.denominator) for v in self.exact) != den:
             raise ValueError("exact probabilities do not sum to 1")
 
     @classmethod
@@ -159,14 +173,14 @@ def kernel(table: StructureTable, s: ClassIndex) -> Kernel:
 
 
 def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
-    """Kernel straight from the closed form, row by row: O(q^2) memory, never
-    the q^3 table."""
+    """Kernel straight from the closed form, all rows in one call: O(q^2)
+    memory, never the q^3 table."""
     if s is None:
         s = ClassIndex.finite(params.spec.one)
     classes = index_set(params)
     if s not in classes:
         raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
-    counts = np.stack([closed_row(params, ci, s) for ci in classes])
+    counts = closed_row(params, classes, s)
     if not (s.is_zero or s.is_isotropic):
         # certify the vectorised closed form against the scalar trichotomy on the
         # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
@@ -208,8 +222,9 @@ def haar(params: ConicParams) -> Distribution:
     """Class sizes over q^2: the walk's limiting distribution."""
     classes = index_set(params)
     q2 = params.q ** 2
-    exact = [Fraction(class_size(c, params), q2) for c in classes]
-    return Distribution(classes, [float(v) for v in exact], exact)
+    sizes = np.array([class_size(c, params) for c in classes])
+    # int64 / int is one correctly rounded division: equals float(Fraction)
+    return Distribution(classes, sizes / q2, [Fraction(n, q2) for n in sizes.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -228,53 +243,34 @@ class ErgodicityReport:
 
 
 def ergodicity_check(k: Kernel) -> ErgodicityReport:
-    """Irreducibility by reachability on the support digraph, aperiodicity by
-    the gcd of cycle-length differences through state 0."""
-    n = k.size
+    """Irreducibility by reachability from class 0, on boolean BFS frontiers
+    of the support digraph and its transpose; aperiodicity by the gcd of
+    cycle-length differences through class 0.  ``Kernel.ergodicity`` caches it."""
     positive = k.step_counts > 0
-    support = [np.flatnonzero(r).tolist() for r in positive]
-    reverse = [np.flatnonzero(c).tolist() for c in positive.T]
 
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def levels(adj):
+        """BFS level of each class from class 0, -1 where unreachable."""
+        level = np.full(k.size, -1)
+        level[0] = 0
+        frontier = level == 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & (level < 0)
+            level[frontier] = level.max() + 1
+        return level
 
-    fwd = reach(support)
-    bwd = reach(reverse)
-    unreachable = sorted(set(range(n)) - (fwd & bwd))
-    irreducible = not unreachable
+    level = levels(positive)
+    unreachable = np.flatnonzero((level < 0) | (levels(positive.T) < 0))
+    irreducible = not unreachable.size
     period = None
     if irreducible:
-        # BFS levels; gcd of (level[u] + 1 - level[v]) over support edges
-        level = [-1] * n
-        level[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in support[u]:
-                    if level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        g = 0
-        for u in range(n):
-            for v in support[u]:
-                g = math.gcd(g, level[u] + 1 - level[v])
-        period = abs(g) if g else 0
-    ergodic = irreducible and period == 1
+        # gcd of (level[u] + 1 - level[v]) over support edges u -> v
+        u, v = np.nonzero(positive)
+        period = int(np.gcd.reduce(level[u] + 1 - level[v]))
     return ErgodicityReport(
-        ergodic=ergodic,
+        ergodic=irreducible and period == 1,
         irreducible=irreducible,
         period=period,
-        unreachable=[k.classes[t].label() for t in unreachable],
+        unreachable=[k.classes[t].label() for t in unreachable.tolist()],
     )
 
 
@@ -282,8 +278,7 @@ def stationary(k: Kernel, method: str = "auto") -> Distribution:
     """The unique pi with pi K = pi: the class-size law under an O(q^2)
     integer certificate ("auto" and "exact", at every q), or power iteration
     to a 1e-13 residual ("power", the float cross-check)."""
-    if not ergodicity_check(k):
-        raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
+    k.require_ergodic()
     if method in ("auto", "exact"):
         # pi_j = N_j / sum(N) satisfies pi K = pi iff sum_i N_i c[i, j] = N_s N_j;
         # the kernel is ergodic, so it is then the unique stationary law
@@ -292,7 +287,7 @@ def stationary(k: Kernel, method: str = "auto") -> Distribution:
                 f"class sizes are not stationary for the step {k.step!r} kernel")
         total = int(k.sizes.sum())
         exact = [Fraction(n, total) for n in k.sizes.tolist()]
-        return Distribution(k.classes, [float(v) for v in exact], exact)
+        return Distribution(k.classes, k.sizes / total, exact)
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     laws = _laws(k, np.full(k.size, 1.0 / k.size))
@@ -356,8 +351,7 @@ def mixing_time(k: Kernel, pi: Distribution, eps: float,
     non-increasing (it provably is for these kernels)."""
     if not eps > 0:  # also rejects nan
         raise ValueError("eps must be positive")
-    if not ergodicity_check(k):
-        raise NotErgodic(f"kernel with step {k.step!r} is not ergodic")
+    k.require_ergodic()
     limit = 100 * mixing_time_bound(k.q, k.branch)
     curve = []
     for t, tv in enumerate(_worst_tv(k, pi)):
@@ -375,9 +369,11 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
 
     K^m = c^m / N_s^m.  Every entry and partial sum of the float64 power of
     the step matrix c is a nonnegative integer at most N_s^m, so below 2^53
-    that one BLAS power holds the exact integers; the exact minimum then
-    takes one ``Fraction`` per column.  Above it, or without an exact pi,
-    the constant is float only: (None, float).
+    that one BLAS power holds the exact integers.  The exact minimum of
+    v_j / (N_s^m pi_j) over the column minima v_j is then found by integer
+    cross-multiplication among the columns whose float ratio, within a few
+    ulp of the exact one, lies within 1e-12 of the float minimum.  Above
+    2^53, or without an exact pi, the constant is float only: (None, float).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -386,7 +382,13 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
         mat = np.linalg.matrix_power(k.mat, m)
         return None, float((mat / pi.probs[None, :]).min())
     col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
-    exact = min(Fraction(int(v), scale) / pj for v, pj in zip(col_min.tolist(), pi.exact))
+    ratio = col_min / np.array([float(pj) for pj in pi.exact])
+    num, den = 1, 0  # the running minimum num / den of v_j / pi_j, from +infinity
+    for j in np.flatnonzero(ratio <= ratio.min() * (1 + 1e-12)).tolist():
+        v, p = int(col_min[j]) * pi.exact[j].denominator, pi.exact[j].numerator
+        if v * den < num * p:
+            num, den = v, p
+    exact = Fraction(num, den * scale)
     return exact, float(exact)
 
 

@@ -29,6 +29,18 @@ def seeded_weights(spec, seed):
     return a, spec.mul_idx(a, spec.mul_idx(s, s))
 
 
+# five small fields over both branches, prime and extension, by test id:
+# (p, d, weights), where "seeded" stands for seeded_weights(spec, 1)
+FIVE_FIELDS = {"GF7": (7, 1, (1, 1)), "GF9": (3, 2, (1, 1)), "GF13-a1-b4": (13, 1, (1, 4)),
+               "GF25-seeded": (5, 2, "seeded"), "GF27-seeded": (3, 3, "seeded")}
+
+
+def five_field_params(field):
+    p, d, weights = FIVE_FIELDS[field]
+    spec = make_field(p, d)
+    return ConicParams(spec, *(seeded_weights(spec, 1) if weights == "seeded" else weights))
+
+
 @pytest.fixture(scope="session")
 def specs():
     return {q_of(pd): make_field(*pd) for pd in TEST_FIELDS}

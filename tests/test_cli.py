@@ -259,6 +259,9 @@ GOLDEN_FLOAT_STDOUT = {
     ("mixing", "--p", "13"): "mixing_p13.json",
     ("minorize", "--p", "13"): "minorize_p13.json",
     ("scan", "--qmin", "7", "--qmax", "61"): "scan_q7_61.csv",
+    # the README example size, recorded before the step matrix, the ergodicity
+    # check and the exact minorization minimum moved to array operations
+    ("scan", "--qmin", "7", "--qmax", "199"): "scan_q7_199.csv",
 }
 
 
@@ -344,6 +347,13 @@ def test_invalid_input_exits_1_with_one_line(args, tmp_path):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_not_ergodic_step_exits_1_with_its_reason():
+    r = run_main("stationary", "--p", "7", "--s", "0")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("error: kernel with step C[0] is not ergodic: "
+                        "6 classes do not communicate with C[0]\n")
 
 
 def test_unwritable_hist_out_exits_1_with_one_line(tmp_path):

@@ -29,7 +29,14 @@ from conicwalk import (
 from conicwalk.cli import admissible_prime_powers
 from conicwalk.errata import errata_entries, published_six_step_reference
 
-from conftest import TEST_FIELDS, seeded_weights, smallest_nonsquare, smallest_square_above_one
+from conftest import (
+    FIVE_FIELDS,
+    TEST_FIELDS,
+    five_field_params,
+    seeded_weights,
+    smallest_nonsquare,
+    smallest_square_above_one,
+)
 
 
 def _cls(spec, v):
@@ -233,9 +240,36 @@ def test_closed_form_counts_equal_oracle_counts(params):
 def test_closed_row_counts_nonnegative_and_normalized(params, data):
     ci = data.draw(st.sampled_from(index_set(params)))
     cj = data.draw(st.sampled_from(index_set(params)))
-    row = closed_row(params, ci, cj)
+    row = closed_row(params, [ci], cj)[0]
     assert row.min() >= 0
     assert row.sum() == class_size(ci, params) * class_size(cj, params)
+
+
+# sha256 of the little-endian int64 counts of build_table(params,
+# published_isotropic_row=True), recorded when closed_row still built one
+# row per call
+PUBLISHED_TABLE_SHA256 = {
+    "GF7": "1b23f5dcc611dded5fdc0598bbb1f63f012dd444c114bcaff542daf26665702d",
+    "GF9": "b4c44f57bf8695f51ac5706f65df4aeb207c496d09a13028ed291c269173b643",
+    "GF13-a1-b4": "74192df7350cddf7851862b878dabe66108a5de8d4f00ecd413d8ca2446e1d9c",
+    "GF25-seeded": "400e796496efc455ec24116664e921c6ef41c162400f3a069630cd2514c97cfc",
+    "GF27-seeded": "9dc8d52c582195ff173b5b6abf34cd46b55e19504d47ef27af6b4eb0ace44d55",
+}
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS)
+def test_one_call_step_matrix_equals_the_single_rows_and_the_table(field):
+    params = five_field_params(field)
+    classes = index_set(params)
+    table = build_table(params)
+    for t, s in enumerate(classes):  # every step class, zero and iso included
+        matrix = closed_row(params, classes, s)
+        single = np.stack([closed_row(params, [ci], s)[0] for ci in classes])
+        assert np.array_equal(matrix, single), s
+        assert np.array_equal(matrix, table.counts[:, t, :]), s
+    published = build_table(params, published_isotropic_row=True).counts
+    digest = hashlib.sha256(np.ascontiguousarray(published, dtype="<i8").tobytes())
+    assert digest.hexdigest() == PUBLISHED_TABLE_SHA256[field]
 
 
 def _integer_scaled(table):

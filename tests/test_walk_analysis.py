@@ -33,7 +33,7 @@ from conicwalk import (
     tv_distance,
 )
 
-from conftest import seeded_weights
+from conftest import FIVE_FIELDS, five_field_params
 
 EPS_REF = 1.0 / (2.0 * math.e)
 
@@ -209,6 +209,115 @@ def test_all_nonzero_steps_ergodic_gf13(k13):
         assert ergodicity_check(kernel(t, s)).ergodic
 
 
+def _reference_ergodicity(k):
+    """(ergodic, irreducible, period, unreachable) from Python sets and lists,
+    one edge at a time: reachability by depth-first search, BFS levels, and
+    the gcd over the support edges."""
+    n = k.size
+    positive = k.step_counts > 0
+    support = [np.flatnonzero(r).tolist() for r in positive]
+    reverse = [np.flatnonzero(c).tolist() for c in positive.T]
+
+    def reach(adj):
+        seen, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    unreachable = sorted(set(range(n)) - (reach(support) & reach(reverse)))
+    period = None
+    if not unreachable:
+        level, frontier = [-1] * n, [0]
+        level[0] = 0
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in support[u]:
+                    if level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        g = 0
+        for u in range(n):
+            for v in support[u]:
+                g = math.gcd(g, level[u] + 1 - level[v])
+        period = g
+    return (not unreachable and period == 1, not unreachable, period,
+            [k.classes[t].label() for t in unreachable])
+
+
+def _report_tuple(rep):
+    return rep.ergodic, rep.irreducible, rep.period, rep.unreachable
+
+
+@pytest.mark.parametrize("field", FIVE_FIELDS)
+def test_ergodicity_matches_the_reference_bfs_on_every_step_class(field):
+    params = five_field_params(field)
+    verdicts = set()
+    for s in index_set(params):
+        k = kernel_for_step(params, s)
+        assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k), s
+        verdicts.add(k.ergodicity.ergodic)
+    assert verdicts == {True, False}  # the zero step is reducible, the rest ergodic
+
+
+@pytest.mark.parametrize("q", [127, 461, 1021])
+def test_ergodicity_matches_the_reference_bfs_on_the_unit_step(q):
+    k = kernel_for_step(ConicParams(make_prime_field(q), 1, 1))
+    assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == (True, True, 1, [])
+
+
+def _unit_kernel(counts):
+    """A kernel on the GF(7) labels with every class of size 1."""
+    params = ConicParams(make_prime_field(7), 1, 1)
+    return Kernel(params, index_set(params), _cls(params.spec, 1), counts, [1] * 7)
+
+
+def test_ergodicity_reports_the_period_of_a_cycle():
+    k = _unit_kernel(np.roll(np.eye(7, dtype=np.int64), 1, axis=1))  # i -> i + 1 (mod 7)
+    assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == (False, True, 7, [])
+    with pytest.raises(NotErgodic, match=r"is not ergodic: period 7$"):
+        stationary(k)
+
+
+def test_ergodicity_needs_the_way_back_to_class_0():
+    # 0 -> 1, and every other class stays put: 1 is reached from 0 but never returns
+    one_way = np.eye(7, dtype=np.int64)
+    one_way[0] = np.eye(7, dtype=np.int64)[1]
+    k = _unit_kernel(one_way)
+    want = (False, False, None, ["1", "2", "3", "4", "5", "6"])
+    assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == want
+
+
+def test_not_ergodic_states_the_classes_that_do_not_communicate():
+    p7 = ConicParams(make_prime_field(7), 1, 1)
+    k = kernel_for_step(p7, _cls(p7.spec, 0))
+    assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k)
+    assert k.ergodicity.unreachable == ["1", "2", "3", "4", "5", "6"]
+    with pytest.raises(NotErgodic, match=r"not ergodic: 6 classes do not communicate with C\[0\]$"):
+        mixing_time(k, haar(p7), 0.1)
+
+
+def test_boost_check_computes_the_ergodicity_verdict_once(monkeypatch):
+    import conicwalk.walk_analysis as wa
+
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return ergodicity_check(k)
+
+    monkeypatch.setattr(wa, "ergodicity_check", counted)
+    params = ConicParams(make_prime_field(13), 1, 1)
+    k = kernel_for_step(params)
+    pi = stationary(k)
+    assert boost_check(k, pi, 0.001).ok
+    assert len(calls) == 1 and calls[0] is k
+
+
 # ---------------------------------------------------------------------------
 # tv distance
 # ---------------------------------------------------------------------------
@@ -285,13 +394,10 @@ def _max_tv_over_all_starts(k, pi, t_max):
     return curve
 
 
-@pytest.mark.parametrize("p,d,weights", [
-    (7, 1, (1, 1)), (3, 2, (1, 1)), (13, 1, (1, 4)), (5, 2, "seeded"), (3, 3, "seeded"),
-], ids=["GF7", "GF9", "GF13-a1-b4", "GF25-seeded", "GF27-seeded"])
-def test_max_tv_curve_is_the_max_over_all_starts(p, d, weights):
+@pytest.mark.parametrize("field", FIVE_FIELDS)
+def test_max_tv_curve_is_the_max_over_all_starts(field):
     # the origin class is the worst start: max_tv_curve reads its row alone
-    spec = make_field(p, d)
-    params = ConicParams(spec, *(seeded_weights(spec, 1) if weights == "seeded" else weights))
+    params = five_field_params(field)
     pi = haar(params)
     checked = 0
     for s in index_set(params):
@@ -389,6 +495,42 @@ def test_exact_minorization_matches_python_int_power(q):
     exact, measured = minorization_constant(k, pi, m)
     assert exact == _python_int_minorization(k, pi, m)
     assert measured == float(exact) and exact >= ref
+
+
+def _per_column_minorization(k, pi, m):
+    """The exact constant as computed before the cross-multiplication: one
+    ``Fraction`` per column of the float64 power of the step matrix."""
+    col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
+    scale = k.step_size ** m
+    return min(Fraction(int(v), scale) / pj for v, pj in zip(col_min.tolist(), pi.exact))
+
+
+@pytest.mark.parametrize("q", [13, 31, 127, 457])  # 457: the largest exact branch-1 field
+def test_exact_minorization_equals_the_per_column_fractions(q):
+    params = ConicParams(make_prime_field(q), 1, 1)
+    k, pi = kernel_for_step(params), haar(params)
+    m, _ = minorization_reference(q, q % 4)
+    exact, measured = minorization_constant(k, pi, m)
+    assert exact == _per_column_minorization(k, pi, m)
+    assert measured == float(exact)
+
+
+@pytest.mark.parametrize("law", ["uniform", "seeded"])
+def test_exact_minorization_against_a_non_haar_law(law):
+    # uniform: every column ties in pi; seeded: distinct denominators per column
+    params = ConicParams(make_prime_field(13), 1, 1)
+    k = kernel_for_step(params)
+    if law == "uniform":
+        weights = [Fraction(1, k.size)] * k.size
+    else:
+        rng = np.random.default_rng(5)
+        raw = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 50, size=(k.size, 2))]
+        weights = [w / sum(raw) for w in raw]
+    pi = Distribution(k.classes, [float(w) for w in weights], weights)
+    for m in (1, 2, 6):
+        exact, measured = minorization_constant(k, pi, m)
+        assert exact == _per_column_minorization(k, pi, m), m
+        assert measured == float(exact)
 
 
 def test_minorization_exact_while_the_power_denominator_is_below_2_53():
