@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import click
+import numpy as np
 
 from . import __version__
 from .conic_geometry import ClassIndex, ConicParams, ORACLE_CAP
@@ -139,10 +140,26 @@ def _sink(out: str | None):
         yield sys.stdout
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, but each
+    list of scalars goes through one call of json's C encoder (``indent``
+    selects the pure-Python one), the separator carrying the indentation."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + _json_text(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
+    return "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + indent + "]"
+
+
 def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:
     payload = {"config": cfg.to_json(), **payload}
     with _sink(out) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _csv_line(row) -> str:
@@ -367,13 +384,11 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
     _check_writable(out, hist_out)
     params, k = _walk(cfg)
     stats = run_coupling_trials(k, haar(params), _parse_class(start, params), trials, seed)
-    _emit_json({"coupling": stats.to_json()}, cfg, out)
+    payload = stats.to_json()
+    _emit_json({"coupling": payload}, cfg, out)
     if hist_out:
-        tail = stats.tail_curve()
-        hist = [0] * (max(stats.times) + 1)
-        for t in stats.times:
-            hist[t] += 1
-        lines = [_csv_line((t, hist[t], _fmt_float(tail[t]))) for t in range(len(hist))]
+        hist = zip(np.bincount(stats.times).tolist(), payload["tail"])
+        lines = [_csv_line((t, n, _fmt_float(tail))) for t, (n, tail) in enumerate(hist)]
         _emit_csv(["t", "count", "empirical_tail"], ["".join(lines)], cfg, hist_out)
     _note(f"coupling q={params.q}: {trials} trials, mean T = {stats.mean_time:.2f}")
 

@@ -5,19 +5,21 @@ distribution; they move independently until they first meet and together
 afterwards.  The tail of the meeting time dominates the exact TV distance,
 which is what the simulations validate.
 
-All trials of a batch advance in lockstep, one vectorised inverse-CDF draw
+The trials of a batch advance in lockstep, one vectorised inverse-CDF draw
 per chain and step.  A walker at class i with uniform u moves to the first
 class j whose CDF value, rounded up to a multiple of 2^-53, exceeds u; the
-draw finds it with a guide table (Chen and Asau 1974), and any exact search
-gives the same class.  Uniforms follow the layout ``STREAM``, echoed in every
-coupling and MC-TV payload: in splitmix64-trial-counter/v1, uniform j of trial
-t under seed s is (z >> 11) * 2^-53 for z the SplitMix64 output number
-(t << 32) + j + 1 from the state SeedSequence(s).generate_state(1, uint64)[0].
-A coupling trial meeting at step T draws the stationary start with uniform 0,
-steps n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
+draw finds it with a guide table (Chen and Asau 1974) and a skip table over
+zero-probability classes, and any exact search gives the same class.
+Uniforms follow the layout ``STREAM``, echoed in every coupling and MC-TV
+payload: in splitmix64-trial-counter/v1, uniform j of trial t under seed s
+is (z >> 11) * 2^-53 for z the SplitMix64 output number (t << 32) + j + 1
+from the state SeedSequence(s).generate_state(1, uint64)[0].  A coupling
+trial meeting at step T draws the stationary start with uniform 0, steps
+n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
 T + n; step n of an MC-TV trial uses n - 1.  Draws depend only on (s, t), so
-batches are reproducible and order-independent.  The MC-TV bootstrap uses
-numpy's PCG64.
+batches are reproducible and order-independent, and walking a coupling
+batch in blocks of ``TRIAL_BLOCK`` trials, and of those only the pairs still
+apart, changes no draw.  The MC-TV bootstrap uses numpy's PCG64.
 """
 
 from __future__ import annotations
@@ -33,29 +35,33 @@ from .walk_analysis import Distribution, Kernel
 STREAM = "splitmix64-trial-counter/v1"
 COALESCENCE_STEP_LIMIT = 10**6
 BOOTSTRAP_RESAMPLES = 1000
+TRIAL_BLOCK = 1 << 14
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """53-bit integer U of the SplitMix64 states ``z`` (the output function),
+    computed in place in ``z``; array arithmetic wraps mod 2^64 silently."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z
 
 
 def _splitmix64(key: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """53-bit integer U of SplitMix64 output number ``z`` (from 1), computed
-    in place in ``z``, which keeps temporaries few."""
-    with np.errstate(over="ignore"):
-        z *= _GAMMA
-        z += key
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        return z
+    """53-bit integer U of SplitMix64 output number ``z`` (from 1)."""
+    return _mix(z * _GAMMA + key)
+
+
+def _leap(c) -> np.ndarray:
+    """c * gamma mod 2^64: a SplitMix64 state advanced c outputs, less the state."""
+    return np.asarray(c, dtype=np.uint64) * _GAMMA
 
 
 def _cdf(rows: np.ndarray) -> np.ndarray:
@@ -74,8 +80,11 @@ class _GuideTable:
     with G = 2^g buckets, g = n.bit_length() so that n < G <= 2n, guide[r, b]
     is the first j with cdf[r, j] > b * 2^(53 - g).  U lies in bucket
     b = U >> (53 - g), so the answer is at least guide[r, b], and a walker
-    steps j += 1 while cdf[r, j] <= U: fewer than two comparisons per search
-    on average, and the answer of any exact search.
+    moves on while cdf[r, j] <= U: fewer than two comparisons per search on
+    average, and the answer of any exact search.  Lockstep walkers wait for
+    the slowest, and stepping over zero-probability classes (half of a kernel
+    row) one at a time took 11 rounds for 16,384 walkers at q = 61; jumping
+    to skip[r, j], the first later j with a larger CDF value, took one.
     """
 
     def __init__(self, cdf: np.ndarray):
@@ -83,9 +92,10 @@ class _GuideTable:
         g = n.bit_length()
         self.n, self.buckets, self.shift = n, 1 << g, np.uint64(53 - g)
         edges = np.arange(self.buckets, dtype=np.uint64) << self.shift
-        # entries are flat positions in cdf, so a search gathers once per pass
-        self.guide = np.concatenate([np.searchsorted(c, edges, side="right") + r * n
-                                     for r, c in enumerate(cdf)])
+        # entries are flat positions in cdf, so a search gathers once per round
+        rows = np.arange(len(cdf))[:, None] * n
+        self.guide = (np.stack([c.searchsorted(edges, "right") for c in cdf]) + rows).ravel()
+        self.skip = (np.stack([c.searchsorted(c, "right") for c in cdf]) + rows).ravel()
         self.cdf = cdf.ravel()
 
     def search(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -93,10 +103,10 @@ class _GuideTable:
         pos = (u >> self.shift).view(np.int64)  # u < 2^53: the view is exact
         pos += rows * self.buckets
         pos = self.guide[pos]
-        ahead = np.flatnonzero(self.cdf[pos] <= u)
+        ahead = (self.cdf[pos] <= u).nonzero()[0]
         while ahead.size:
-            pos[ahead] += 1
-            ahead = ahead[self.cdf[pos[ahead]] <= u[ahead]]
+            at = pos[ahead] = self.skip[pos[ahead]]
+            ahead = ahead[self.cdf[at] <= u[ahead]]
         pos -= rows * self.n
         return pos
 
@@ -116,46 +126,60 @@ class _Lockstep:
             raise IndexInvalid("pi and kernel index sets differ")
         k.require_ergodic()
         self.n = k.size
-        self.key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+        self.key = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
         self.table = _GuideTable(
             np.ceil(_cdf(np.vstack([k.mat, pi.probs])) * 2.0**53).astype(np.uint64))
 
-    def draw(self, rows: np.ndarray, trials: np.ndarray, j) -> np.ndarray:
-        """Next class of walkers at ``rows`` with uniform ``j`` of each of ``trials``."""
-        counter = (trials << np.uint64(32)) + np.asarray(j, np.uint64) + 1
-        return self.table.search(rows, _splitmix64(self.key, counter))
+    def bases(self, trials: np.ndarray) -> np.ndarray:
+        """State key + (t << 32) * gamma of each trial t: its uniform j is the
+        output of the state base + (j + 1) * gamma, one add per draw."""
+        return (trials << np.uint64(32)) * _GAMMA + self.key
+
+    def step(self, rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Next class of walkers at ``rows``, from SplitMix64 ``states`` (overwritten)."""
+        return self.table.search(rows, _mix(states))
 
     def meeting_times(self, x0: int, trials: np.ndarray,
                       marginal_steps: tuple[int, ...]) -> tuple[np.ndarray, dict]:
         """Meeting times of the trials' chain pairs, and per step in
         ``marginal_steps`` the stationary chain's class counts."""
-        n, m = self.n, trials.size
-        x = np.full(m, x0, dtype=np.int64)
-        y = self.draw(np.full(m, n, dtype=np.int64), trials, 0)
-        times = np.zeros(m, dtype=np.int64)
-        met = x == y
-        walking = np.flatnonzero(~met)
-        marg = {t: np.zeros(n, dtype=np.int64) for t in marginal_steps}
+        n = self.n
+        base = self.bases(trials)
+        y = self.step(np.full(trials.size, n, dtype=np.int64), base + _leap(1))
+        times = np.zeros(trials.size, dtype=np.int64)
+        marg = {t: np.bincount(y, minlength=n) if t == 0 else np.zeros(n, dtype=np.int64)
+                for t in marginal_steps}
         horizon = max(marginal_steps, default=0)
+        # one array of classes: the pairs still walking (positions ``live``),
+        # fixed chains then stationary chains, and while marginals remain to
+        # count, the met pairs (positions ``met``), which move as one chain
+        live = np.flatnonzero(y != x0)
+        met = np.flatnonzero(y == x0) if horizon else live[:0]
+        xy = np.concatenate([np.full(live.size, x0), y[live], y[met]])
         t = 0
-        while True:
-            if t in marg:
-                marg[t] += np.bincount(y, minlength=n)
-            if not walking.size and t >= horizon:
-                return times, marg
-            if walking.size and t >= COALESCENCE_STEP_LIMIT:
+        while live.size or t < horizon:
+            if live.size and t >= COALESCENCE_STEP_LIMIT:
                 raise WalkTimeout(f"no coalescence within {COALESCENCE_STEP_LIMIT} steps")
             t += 1
-            if t <= horizon:  # chains that have met move together: one draw
-                both = np.flatnonzero(met)
-                y[both] = self.draw(y[both], trials[both], times[both] + t)
-            ids = trials[walking]
-            x[walking] = xs = self.draw(x[walking], ids, 2 * t - 1)
-            y[walking] = ys = self.draw(y[walking], ids, 2 * t)
-            hit = walking[xs == ys]
-            times[hit] = t
-            met[hit] = True
-            walking = walking[xs != ys]
+            w = live.size
+            b = base[live] + _leap(2 * t)  # uniforms 2t - 1 (x) and 2t (y)
+            states = [b, b + _GAMMA]
+            if horizon:  # met pairs move while marginals remain
+                states.append(base[met] + _leap(times[met] + t + 1))
+            xy = self.step(xy, np.concatenate(states))
+            if t in marg:
+                marg[t] += np.bincount(xy[w:], minlength=n)
+            times[live] = t  # a pair still walking gets a later time
+            pairs = xy[:2 * w].reshape(2, w)
+            keep = (pairs[0] != pairs[1]).nonzero()[0]
+            if t >= horizon:  # no marginal left to count: met pairs stop
+                met, xy = met[:0], pairs.take(keep, axis=1).ravel()
+            else:
+                hit = (pairs[0] == pairs[1]).nonzero()[0]
+                met = np.concatenate([met, live[hit]])
+                xy = np.concatenate([pairs.take(keep, axis=1).ravel(), xy[2 * w:], pairs[1, hit]])
+            live = live[keep]
+        return times, marg
 
 
 def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
@@ -221,16 +245,17 @@ def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    times, marg = _Lockstep(k, pi, seed).meeting_times(
-        k.position(start), np.arange(trials, dtype=np.uint64),
-        tuple(sorted(set(marginal_steps))))
+    walk, steps = _Lockstep(k, pi, seed), tuple(sorted(set(marginal_steps)))
+    blocks = (np.arange(lo, min(lo + TRIAL_BLOCK, trials), dtype=np.uint64)
+              for lo in range(0, trials, TRIAL_BLOCK))  # small arrays, same draws
+    runs = [walk.meeting_times(k.position(start), ids, steps) for ids in blocks]
     return CouplingStats(
         start=start.label(),
         step=k.step.label(),
         trials=trials,
         seed=seed,
-        times=times.tolist(),
-        marginal_counts={t: c.tolist() for t, c in marg.items()},
+        times=np.concatenate([times for times, _ in runs]).tolist(),
+        marginal_counts={t: sum(marg[t] for _, marg in runs).tolist() for t in steps},
     )
 
 
@@ -279,15 +304,15 @@ def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
     if t < 0:
         raise ValueError("t must be >= 0")
     walk = _Lockstep(k, pi, seed)
-    ids = np.arange(trials, dtype=np.uint64)
+    base = walk.bases(np.arange(trials, dtype=np.uint64))
     x = np.full(trials, k.position(i), dtype=np.int64)
     for j in range(t):
-        x = walk.draw(x, ids, j)
+        x = walk.step(x, base + _leap(j + 1))
     counts = np.bincount(x, minlength=k.size)
     emp = counts / trials
     estimate = 0.5 * float(np.abs(emp - pi.probs).sum())
 
-    boot_rng = _rng((seed, 1 << 32))  # sub-seed outside the trial-index range
+    boot_rng = np.random.default_rng((seed, 1 << 32))  # sub-seed outside the trial-index range
     resampled = boot_rng.multinomial(trials, emp / emp.sum(), size=BOOTSTRAP_RESAMPLES) / trials
     boot_noise = 0.5 * np.abs(resampled - emp[None, :]).sum(axis=1)
     radius = float(np.percentile(boot_noise, 97.5))

@@ -146,6 +146,10 @@ def test_couple_and_histogram(tmp_path):
     assert payload["coupling"]["trials"] == 2000
     lines = hist.read_text().splitlines()
     assert lines[1] == "t,count,empirical_tail"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(t) for t, _, _ in rows] == list(range(len(rows)))
+    assert sum(int(n) for _, n, _ in rows) == 2000
+    assert [float(tail) for _, _, tail in rows] == payload["coupling"]["tail"]
 
 
 def test_scan_small_range(tmp_path):
@@ -250,6 +254,51 @@ def test_outputs_match_recorded_digests(args):
     r = run_main(*args)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == GOLDEN_STDOUT[args]
+
+
+# stdout of the Monte Carlo commands, recorded before the walk engine moved to
+# per-trial SplitMix64 states, compacted pairs and trial blocks
+GOLDEN_MC_STDOUT = {
+    ("couple", "--p", "61", "--trials", "2000", "--seed", "1"): "couple_p61_seed1.json",
+    ("mctv", "--p", "13", "--t", "12", "--trials", "5000", "--seed", "1"):
+        "mctv_p13_t12_seed1.json",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_MC_STDOUT), ids=" ".join)
+def test_monte_carlo_outputs_match_recorded_files(args):
+    r = run_main(*args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (DATA / GOLDEN_MC_STDOUT[args]).read_text()
+
+
+_json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                         st.floats(), st.text(max_size=8))
+_json_value = st.recursive(
+    _json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        st.dictionaries(st.integers(-50, 50), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_json_value)
+def test_json_writer_equals_json_dumps(obj):
+    # floats include nan and +-inf, text includes non-ASCII characters
+    from conicwalk.cli import _json_text
+
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+def test_json_writer_reproduces_recorded_files(name):
+    from conicwalk.cli import _json_text
+
+    text = (DATA / name).read_text()
+    assert _json_text(json.loads(text)) + "\n" == text
 
 
 # stdout recorded at the same point for outputs that carry floats from BLAS

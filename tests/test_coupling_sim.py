@@ -267,6 +267,27 @@ def _guide_search(cdf, us):
     return _GuideTable(np.array(cdf, dtype=np.uint64)).search(rows, u).reshape(len(cdf), -1)
 
 
+def test_trials_across_the_block_edge_match_the_reference():
+    # trials 2^14 - 2 .. 2^14 + 2 straddle the first block edge; the marginal
+    # counts of the full batch less those of its first 2^14 - 2 trials are
+    # the counts of those five trials alone
+    from conicwalk.coupling_sim import TRIAL_BLOCK
+
+    steps = (0, 3, 10)
+    edge = range(TRIAL_BLOCK - 2, TRIAL_BLOCK + 3)
+    for k, pi, x0 in list(_reference_walks())[::2]:
+        full = run_coupling_trials(k, pi, k.classes[x0], trials=TRIAL_BLOCK + 3, seed=42,
+                                   marginal_steps=steps)
+        head = run_coupling_trials(k, pi, k.classes[x0], trials=TRIAL_BLOCK - 2, seed=42,
+                                   marginal_steps=steps)
+        ref = [_reference_trial(k, pi, x0, 42, t, max(steps)) for t in edge]
+        assert full.times[TRIAL_BLOCK - 2:] == [met for met, _ in ref], k.q
+        for s in steps:
+            want = np.bincount([path[s] for _, path in ref], minlength=k.size)
+            got = np.array(full.marginal_counts[s]) - head.marginal_counts[s]
+            assert got.tolist() == want.tolist(), (k.q, s)
+
+
 def test_guide_search_on_bucket_edges():
     # n = 4 classes: G = 8 buckets, edges at b * 2^50
     e = 1 << 50
@@ -281,6 +302,43 @@ def test_guide_search_on_bucket_edges():
     got = _guide_search(cdf, us)
     for row, got_row in zip(cdf, got):
         assert got_row.tolist() == np.searchsorted(row, us, side="right").tolist(), row
+
+
+def test_guide_search_skips_zero_probability_runs_mid_row():
+    # n = 8 classes: G = 16 buckets, edges at b * 2^49; runs of repeated CDF
+    # values inside a bucket, across buckets, and up to the last class
+    e = 1 << 49
+    cdf = [
+        [e, 3 * e, 3 * e, 3 * e, 3 * e, 9 * e, 9 * e, 16 * e],
+        [e + 5, e + 5, e + 5, e + 6, e + 6, e + 6, e + 7, 16 * e],
+        [0, 2 * e, 2 * e, 2 * e, 2 * e, 2 * e, 2 * e, 16 * e],
+        [3, 3, 3, 3, 4, 4, 4, 16 * e],
+    ]
+    us = sorted({0, 1, 2, 3, 4, 2**53 - 1,
+                 *(v + d for row in cdf for v in row for d in (-1, 0, 1) if 0 <= v + d < 2**53)})
+    got = _guide_search(cdf, us)
+    for row, got_row in zip(cdf, got):
+        assert got_row.tolist() == np.searchsorted(row, us, side="right").tolist(), row
+
+
+@pytest.mark.parametrize("q", [13, 61, 401])
+def test_guide_search_on_real_kernels_equals_binary_search(q):
+    from conicwalk.coupling_sim import _Lockstep
+
+    params = ConicParams(make_prime_field(q), 1, 1)
+    k = kernel_for_step(params)
+    table = _Lockstep(k, haar(params), 0).table
+    cdf = table.cdf.reshape(-1, k.size)
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, len(cdf), 10**5)
+    u = rng.integers(0, 2**53, 10**5, dtype=np.uint64)
+    # a third of the uniforms on a CDF value of their row or just below it
+    on = rng.integers(0, k.size, 10**5)
+    u[::3] = np.minimum(cdf[rows, on] - rng.integers(0, 2, 10**5).astype(np.uint64),
+                        2**53 - 1)[::3]
+    got = table.search(rows, u.copy())
+    want = np.array([np.searchsorted(cdf[r], v, side="right") for r, v in zip(rows, u)])
+    assert got.tolist() == want.tolist()
 
 
 @st.composite
@@ -310,10 +368,15 @@ def test_guide_search_equals_binary_search(case):
 
 
 def test_batch_prefix_is_independent_of_batch_size(setup7):
+    # the larger batches cross the block edge at 2^14 trials
+    from conicwalk.coupling_sim import TRIAL_BLOCK
+
     _, k, pi = setup7
-    long = run_coupling_trials(k, pi, k.classes[0], trials=1000, seed=23)
     short = run_coupling_trials(k, pi, k.classes[0], trials=200, seed=23)
-    assert long.times[:200] == short.times
+    mid = run_coupling_trials(k, pi, k.classes[0], trials=TRIAL_BLOCK + 5, seed=23)
+    long = run_coupling_trials(k, pi, k.classes[0], trials=2 * TRIAL_BLOCK + 100, seed=23)
+    assert mid.times[:200] == short.times
+    assert long.times[:TRIAL_BLOCK + 5] == mid.times
 
 
 def test_stream_known_answer_q7_seed42(setup7):
@@ -342,6 +405,18 @@ def test_non_ergodic_kernel_is_rejected_before_walking(setup7):
         run_coupling_trials(k0, pi, k0.classes[1], trials=10, seed=0)
     with pytest.raises(NotErgodic):
         monte_carlo_tv(k0.classes[1], 2, 1000, 0, k0, pi)
+
+
+def test_coalescence_step_limit_raises(monkeypatch):
+    # at q = 61 the mean meeting time is about 64 steps: 50 pairs do not all
+    # meet within 3, and the walk stops with WalkTimeout
+    from conicwalk import WalkTimeout, coupling_sim
+
+    params = ConicParams(make_prime_field(61), 1, 1)
+    k = kernel_for_step(params)
+    monkeypatch.setattr(coupling_sim, "COALESCENCE_STEP_LIMIT", 3)
+    with pytest.raises(WalkTimeout, match="within 3 steps"):
+        run_coupling_trials(k, haar(params), k.classes[0], trials=50, seed=1)
 
 
 def test_monte_carlo_tv_rejects_negative_t(setup7):
