@@ -266,7 +266,8 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
         fresh = table.mismatches(oracle)
         _emit_json(errata_report(fresh), cfg, errata_path)
         if fresh:
-            _note(f"oracle mismatch: {len(fresh)} differing triples; see {errata_path}")
+            _note(f"oracle mismatch: {table.differs(oracle).sum()} differing triples; "
+                  f"see {errata_path}")
             raise SystemExit(2)
         _note(f"oracle equivalence verified on all {table.size ** 3} triples; "
               f"errata report written to {errata_path}")
@@ -303,13 +304,7 @@ def kernel(p, d, a, b, c, out, s, fmt):
     if fmt == "json":
         _emit_json({"kernel": k.to_json_dict()}, cfg, out)
     else:
-        labels = [c.label() for c in k.classes]
-        chunks = (
-            "".join(_csv_line((li, lj, v.numerator, v.denominator))
-                    for lj, v in zip(labels, row))
-            for li, row in zip(labels, k.rat)
-        )
-        _emit_csv(["i", "j", "num", "den"], chunks, cfg, out)
+        _emit_csv(["i", "j", "num", "den"], k.csv_blocks(), cfg, out)
     _note(f"kernel q={params.q} step={s}: {k.size}x{k.size} rows exact-stochastic")
 
 

@@ -362,13 +362,13 @@ def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None
     grid[0, z - x]); None when the whole grid keeps it."""
     q = params.q
     d = _differences(params.spec)
-    # the point id of z - x, for every pair of point ids (x, z)
-    diff = (d[:, None, :, None] * q + d[None, :, None, :]).reshape(q * q, q * q)
-    broken = grid != grid[0, diff]
+    # grid[0, z - x] for every pair of point ids (x, z), in one gather by coordinate
+    shifted = grid[0].reshape(q, q)[d[:, None, :, None], d[None, :, None, :]].reshape(q * q, q * q)
+    broken = grid != shifted
     if not broken.any():
         return None
     x, z = divmod(int(broken.argmax()), q * q)
-    return ("translation", x, z, int(grid[x, z]), int(grid[0, diff[x, z]]))
+    return ("translation", x, z, int(grid[x, z]), int(shifted[x, z]))
 
 
 def verify_intersection_trichotomy(
@@ -382,9 +382,12 @@ def verify_intersection_trichotomy(
     nonzero separation quadrance is checked against every nonzero (i, j).
     Since Q(X, Z) = Q(0, Z - X), the pair (X, Y) has the same intersection
     histogram as (0, Y - X): the check verifies that translation identity on
-    the whole quadrance grid, then compares the q^2 - 1 histograms of the
-    pairs (0, D) with the prediction, each standing for the q^2 pairs
-    (X, X + D).  Larger fields check a seeded sample of centre pairs.
+    the whole quadrance grid, then compares the histograms of the pairs
+    (0, D) with the prediction, each standing for the q^2 pairs (X, X + D).
+    One D of each pair {D, -D} suffices: both stand for the same unordered
+    pairs, and relabelling Z -> Z - D makes the histogram of (0, -D) the
+    transpose of that of (0, D), read against the same prediction slice as
+    Q(0, -D) = Q(0, D).  Larger fields check a seeded sample of centre pairs.
 
     Returns a summary dict with the number of unordered centre pairs checked
     and any mismatches.  A histogram mismatch is (x, y, i, j, measured,
@@ -404,10 +407,12 @@ def verify_intersection_trichotomy(
             pairs_checked = 0
             mismatches = [broken]
         else:
+            # one D of each pair {D, -D}, the one with the smaller point id
+            neg = params.spec.mul_table()[params.spec.p - 1]  # multiplication by -1
+            half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
             pairs, mismatches = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
-                                                    np.arange(1, n_pts), grid[1:])
-            # D and -D stand for the same unordered pairs
-            pairs_checked = n_pts * pairs // 2
+                                                    half, grid[half])
+            pairs_checked = n_pts * pairs
     else:
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, n_pts, size=sample_centers)

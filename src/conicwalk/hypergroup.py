@@ -39,6 +39,24 @@ from .conic_geometry import (
 from .errors import CapExceeded, IndexInvalid
 
 
+def _fraction_texts(counts: np.ndarray, dens, sep: str = "/", labels=None) -> np.ndarray:
+    """Object array shaped like the non-negative ``counts``: the text
+    f"{num}{sep}{den}" of counts / dens (positive, broadcast) in lowest terms,
+    after f"{labels[k]}," for the last index k when ``labels`` is given.  The
+    key den * span + count, every count below span, tells the values apart,
+    so each distinct value (a table has about ten) is reduced and formatted once."""
+    span = int(counts.max(initial=0)) + 1
+    keys, inverse = np.unique(np.broadcast_to(dens, counts.shape) * span + counts,
+                              return_inverse=True)
+    values = (Fraction(key % span, key // span) for key in keys.tolist())
+    texts = [f"{v.numerator}{sep}{v.denominator}" for v in values]
+    inverse = inverse.reshape(counts.shape)
+    if labels is not None:
+        inverse = inverse + np.arange(len(labels)) * len(texts)
+        texts = [f"{lk},{t}" for lk in labels for t in texts]
+    return np.array(texts, dtype=object)[inverse]
+
+
 class StructureTable:
     """Dense table of structure constants, stored as the int64 count array
     ``counts[i, j, k] = n[i,j,k] * N_i * N_j`` plus the class sizes N."""
@@ -111,13 +129,17 @@ class StructureTable:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def mismatches(self, other: "StructureTable", limit: int = 50) -> list[dict]:
-        """Entry-level differences against another table on the same index set."""
+    def differs(self, other: "StructureTable") -> np.ndarray:
+        """Mask of the triples (i, j, k) where n differs from ``other``'s n."""
         if self.classes != other.classes:
             raise IndexInvalid("tables have different index sets")
         # n = C / (N_i N_j) on both sides, compared by cross-multiplying
-        differ = (self.counts * other.pair_sizes[:, :, None]
-                  != other.counts * self.pair_sizes[:, :, None])
+        return (self.counts * other.pair_sizes[:, :, None]
+                != other.counts * self.pair_sizes[:, :, None])
+
+    def mismatches(self, other: "StructureTable", limit: int = 50) -> list[dict]:
+        """Entry-level differences against another table on the same index set."""
+        differ = self.differs(other)
         labels = [c.label() for c in self.classes]
         return [
             {
@@ -146,29 +168,25 @@ class StructureTable:
                     yield (li, lj, lk, num, den, self.sizes[i], self.sizes[j])
 
     def csv_blocks(self):
-        """The rows of ``to_csv_rows`` as CSV text, one block per i plane."""
+        """The rows of ``to_csv_rows`` as CSV text, one block per i plane: the
+        "k,num,den" texts of (i, j) joined between its "i,j," and ",N_i,N_j"."""
         labels = [c.label() for c in self.classes]
-        nums, dens = self._reduced()
+        cells = _fraction_texts(self.counts, self.pair_sizes[:, :, None], ",", labels)
         for i, li in enumerate(labels):
             lines = []
-            for j, lj in enumerate(labels):
+            for j, (lj, row) in enumerate(zip(labels, cells[i].tolist())):
                 pre, suf = f"{li},{lj},", f",{self.sizes[i]},{self.sizes[j]}\n"
-                lines += [f"{pre}{lk},{num},{den}{suf}"
-                          for lk, num, den in zip(labels, nums[i][j], dens[i][j])]
+                lines.append(pre + (suf + pre).join(row) + suf)
             yield "".join(lines)
 
     def to_json_dict(self) -> dict:
-        nums, dens = self._reduced()
         return {
             "params": self.params.to_json(),
             "source": self.source,
             "split": self.split,
             "classes": [c.label() for c in self.classes],
             "sizes": self.sizes,
-            "rows": [
-                [[f"{a}/{b}" for a, b in zip(nr, dr)] for nr, dr in zip(nplane, dplane)]
-                for nplane, dplane in zip(nums, dens)
-            ],
+            "rows": _fraction_texts(self.counts, self.pair_sizes[:, :, None]).tolist(),
         }
 
 

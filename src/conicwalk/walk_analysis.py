@@ -39,7 +39,7 @@ from .errors import (
     NotErgodic,
     WalkTimeout,
 )
-from .hypergroup import StructureTable, closed_row
+from .hypergroup import StructureTable, _fraction_texts, closed_row
 
 STATIONARY_TOL = 1e-13
 DECAY_SLACK = 1e-10
@@ -118,8 +118,15 @@ class Kernel:
             "params": self.params.to_json(),
             "step": self.step.label(),
             "classes": [c.label() for c in self.classes],
-            "rows": [[f"{v.numerator}/{v.denominator}" for v in row] for row in self.rat],
+            "rows": _fraction_texts(self.step_counts, self.step_size).tolist(),
         }
+
+    def csv_blocks(self):
+        """CSV lines "i,j,num,den" of K(i, j) in lowest terms, one block per row i."""
+        labels = [c.label() for c in self.classes]
+        cells = _fraction_texts(self.step_counts, self.step_size, ",", labels)
+        for li, row in zip(labels, cells.tolist()):
+            yield f"{li}," + f"\n{li},".join(row) + "\n"
 
 
 class Distribution:

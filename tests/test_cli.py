@@ -44,6 +44,31 @@ def test_constants_verify_oracle_ok(tmp_path):
     assert len(errata["known_corrections"]) == 4
 
 
+def test_oracle_mismatch_line_counts_every_differing_triple(tmp_path, monkeypatch):
+    from conicwalk import ConicParams, hypergroup, make_field, oracle_table
+
+    real = hypergroup.closed_row
+
+    def reversed_columns(params, rows, cj, published_isotropic_row=False):
+        out = real(params, rows, cj, published_isotropic_row)
+        # each row keeps its sum, so the table still passes validation
+        return out[:, ::-1] if cj.value.idx >= 3 else out
+
+    monkeypatch.setattr(hypergroup, "closed_row", reversed_columns)
+    params = ConicParams(make_field(7, 1), 1, 1)
+    table, oracle = hypergroup.build_table(params), oracle_table(params)
+    differing = sum(a != b for a, b in zip(table.to_csv_rows(), oracle.to_csv_rows()))
+    assert differing == 98
+    out = tmp_path / "t7.csv"
+    r = run_main("constants", "--p", "7", "--verify-oracle", "--out", str(out))
+    assert r.returncode == 2
+    assert f"oracle mismatch: {differing} differing triples" in r.stderr
+    # the errata report lists the first 50
+    errata = json.loads((tmp_path / "t7.csv.errata.json").read_text())
+    assert errata["fresh_mismatches"] == table.mismatches(oracle)
+    assert len(errata["fresh_mismatches"]) == 50
+
+
 def test_constants_json_format(tmp_path):
     out = tmp_path / "t5.json"
     r = run_main("constants", "--p", "5", "--format", "json", "--out", str(out))

@@ -327,18 +327,48 @@ def test_intersection_trichotomy_catches_a_grid_off_the_translation_identity(
         grid[x, z] = (grid[x, z] + 1) % params.q
         return grid
 
+    params = ConicParams(make_prime_field(7), 1, 1)
     monkeypatch.setattr(conic_geometry, "quadrance_value_grid", mutated)
-    result = verify_intersection_trichotomy(ConicParams(make_prime_field(7), 1, 1))
+    result = verify_intersection_trichotomy(params)
     assert not result["ok"]
-    assert result["mismatches"][0][:3] == ("translation", x, z)
+    spec, q = params.spec, params.q
+    (xx, xy), (zx, zy) = (map(spec.element, divmod(u, q)) for u in (x, z))
+    # grid[0, z - x] is the quadrance from the origin to the point z - x
+    shift = quadrance(_pt(spec, 0, 0), Point(zx - xx, zy - xy), params).idx
+    assert result["mismatches"] == [
+        ("translation", x, z, (real(params)[x, z] + 1) % q, shift)]
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (3, 2)])
-def test_intersection_trichotomy_catches_a_flipped_prediction(p, d, monkeypatch):
+@pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
+def test_minus_d_histogram_is_the_transposed_d_histogram(p, d, seed):
+    # why the exhaustive check compares one D of each pair {D, -D}
+    spec = make_field(p, d)
+    params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
+    q = spec.q
+    points = [_pt(spec, *divmod(u, q)) for u in range(q * q)]
+    from_origin = [quadrance(points[0], z, params).idx for z in points]
+
+    def histogram(centre):
+        h = np.zeros((q, q), dtype=np.int64)
+        for i, z in zip(from_origin, points):
+            h[i, quadrance(centre, z, params).idx] += 1
+        return h
+
+    for u in points[1:]:
+        assert np.array_equal(histogram(Point(-u.x, -u.y)), histogram(u).T)
+
+
+# the transposed entry (2, 1, 3) is read only from the transposed cell of
+# the histograms, as the check compares one D of each pair {D, -D}
+@pytest.mark.parametrize("p,d,entry", [
+    pytest.param(7, 1, (1, 2, 3), id="7-1"), pytest.param(3, 2, (1, 2, 3), id="3-2"),
+    pytest.param(7, 1, (2, 1, 3), id="7-1-transposed"),
+    pytest.param(3, 2, (2, 1, 3), id="3-2-transposed")])
+def test_intersection_trichotomy_catches_a_flipped_prediction(p, d, entry, monkeypatch):
     params = ConicParams(make_field(p, d), 1, 1)
     real = conic_geometry.predicted_intersection_table(params)
     flipped = real.copy()
-    flipped[1, 2, 3] = (flipped[1, 2, 3] + 1) % 3
+    flipped[entry] = (flipped[entry] + 1) % 3
     monkeypatch.setattr(conic_geometry, "predicted_intersection_table", lambda _: flipped)
     result = verify_intersection_trichotomy(params)
     assert not result["ok"] and result["mismatches"]
@@ -346,7 +376,7 @@ def test_intersection_trichotomy_catches_a_flipped_prediction(p, d, monkeypatch)
     for x, y, i, j, measured, predicted in result["mismatches"]:
         centres = [_pt(spec, *divmod(u, q)) for u in (x, y)]
         k = quadrance(*centres, params).idx
-        assert (i, j, k) == (1, 2, 3) and predicted == flipped[i, j, k]
+        assert (i, j, k) == entry and predicted == flipped[i, j, k]
         # the named centre pair is real: brute force agrees with the
         # measured count and not with the flipped prediction
         found = intersection_points(spec.element(i), spec.element(j), *centres, params)

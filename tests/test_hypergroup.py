@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conicwalk import (
@@ -13,6 +13,7 @@ from conicwalk import (
     ConicParams,
     IndexInvalid,
     Point,
+    StructureTable,
     build_table,
     class_size,
     classify,
@@ -446,15 +447,53 @@ def test_table_csv_and_json():
     assert d["sizes"] == [1, 4, 4, 4, 4, 8]
 
 
-@pytest.mark.parametrize("p,d,a", [(5, 1, 1), (7, 1, 1), (5, 2, 2), (3, 3, 2)])
+def _csv_text(rows):
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("p,d,a", [(5, 1, 1), (7, 1, 1), (5, 2, 2), (3, 3, 2),
+                                   pytest.param(13, 1, (1, 4), id="13-1-a1-b4"),
+                                   pytest.param(31, 1, "seeded", id="31-1-seeded")])
 def test_csv_blocks_join_to_the_csv_rows(p, d, a):
+    # a: the weight a = b, the weights (a, b), or seeded weights
     spec = make_field(p, d)
-    t = build_table(ConicParams(spec, spec.element(a), spec.element(a)))
+    weights = seeded_weights(spec, 1) if a == "seeded" else a if isinstance(a, tuple) else (a, a)
+    t = build_table(ConicParams(spec, *weights))
     labels = [c.label() for c in t.classes]
     assert ("iso" in labels) is (spec.q % 4 == 1)  # the isotropic class
     blocks = list(t.csv_blocks())
     assert len(blocks) == t.size
-    assert "".join(blocks) == "".join(",".join(map(str, row)) + "\n" for row in t.to_csv_rows())
+    assert "".join(blocks) == _csv_text(t.to_csv_rows())
+
+
+@st.composite
+def _unchecked_tables(draw):
+    """Tables off the hypergroup, with class sizes up to 2(1021 - 1), the
+    isotropic size at q = 1021, and each count in [0, N_i N_j]."""
+    params = ConicParams(make_prime_field(draw(st.sampled_from([3, 5]))), 1, 1)
+    classes = index_set(params)
+    sizes = draw(st.lists(st.integers(1, 2040), min_size=len(classes), max_size=len(classes)))
+    counts = [[[draw(st.integers(0, ni * nj)) for _ in classes] for nj in sizes] for ni in sizes]
+    return StructureTable(params, classes, sizes, np.array(counts), "test", validate=False)
+
+
+# one count at the largest value 1 next to a count 0 over a denominator one
+# larger: packed with a span one short, the two entries would share a key
+_F3 = ConicParams(make_prime_field(3), 1, 1)
+
+
+@example(StructureTable(_F3, index_set(_F3), [1, 2, 1],
+                        np.array([[[1, 0, 0]] + [[0, 0, 0]] * 2] + [[[0, 0, 0]] * 3] * 2),
+                        "test", validate=False))
+@given(_unchecked_tables())
+@settings(max_examples=60, deadline=None)
+def test_csv_blocks_and_json_rows_are_the_reduced_entries(t):
+    assert "".join(t.csv_blocks()) == _csv_text(t.to_csv_rows())
+    nums, dens = t._reduced()
+    assert t.to_json_dict()["rows"] == [
+        [[f"{a}/{b}" for a, b in zip(nr, dr)] for nr, dr in zip(nplane, dplane)]
+        for nplane, dplane in zip(nums, dens)
+    ]
 
 
 def test_errata_entries_shape():
