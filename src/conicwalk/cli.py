@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -140,10 +141,20 @@ def _sink(out: str | None):
         yield sys.stdout
 
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _list_encoder(inner: str):
+    """json's C encoder of a flat list, its item separator carrying ``inner``."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, but each
-    list of scalars goes through one call of json's C encoder (``indent``
-    selects the pure-Python one), the separator carrying the indentation."""
+    list of plain scalars goes through one call of json's C encoder (json's
+    own ``indent`` selects the pure-Python one), kept one per indent level,
+    its separator carrying the indentation."""
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
         items = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
@@ -151,9 +162,9 @@ def _json_text(obj, indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
-    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+    if not _JSON_SCALARS.issuperset(map(type, obj)):
         return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
-    return "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + indent + "]"
+    return "[" + inner + _list_encoder(inner)(obj)[1:-1] + indent + "]"
 
 
 def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:

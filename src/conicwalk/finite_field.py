@@ -255,7 +255,8 @@ class FieldElement:
     def _check(self, other: "FieldElement") -> "FieldElement":
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
+        # every element of one field normally shares its spec object
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch(f"mixing elements of {self.spec!r} and {other.spec!r}")
         return other
 

@@ -6,6 +6,12 @@ make the classes a hermitian commutative hypergroup.  This module provides
 the closed-form constants, a brute-force enumeration oracle that counts all
 q^4 translation pairs, and the axiom checker.
 
+The oracle stays independent of the closed form and of the theorem behind
+it, that the circles are the orbits of O(Q).  It counts one point u per
+orbit of the sign flips (x, y) -> (+-x, +-y), weighted by the orbit size:
+they are additive and fix the formula Q = a x^2 + b y^2, so (u, v) and
+(s u, s v) land in the same class triple (see ``oracle_table``).
+
 Both sources produce the same single representation: the int64 count array
 C[i,j,k] = n[i,j,k] * N_i * N_j (the number of translation pairs of class i
 by class j landing in class k) together with the class sizes N.  Every other
@@ -213,11 +219,20 @@ def oracle_table(
 ) -> StructureTable:
     """Exact structure constants by enumerating all q^4 ordered point pairs.
 
-    Point addition is separable by coordinate, so the class of u + v is read
-    from the (q, q, q) table by_x[X, y_u, y_v], the class of the point
-    (X, y_u + y_v).  The pairs are enumerated one x_u plane at a time: the
-    plane's sum classes are by_x[x_u + x_v], keyed with the classes of u and
-    v and counted by one bincount."""
+    The sign flips s(x, y) = (+-x, +-y) are additive and fix Q = a x^2 + b y^2,
+    and a point's class depends only on its Q and on whether it is the origin,
+    so (u, v) -> (s u, s v) maps the pairs of each class triple onto
+    themselves: every u of one sign-flip orbit has the same histogram of
+    (class of v, class of u + v) over all v.  One u is kept per orbit, the one
+    whose coordinate indices are at most those of their negatives, weighted
+    by the orbit size 1, 2 or 4.  The argument uses only the formula for Q,
+    not the theorem under test that the circles are the orbits of O(Q).
+
+    Point addition is separable by coordinate, so the classes of u + v over
+    all v are the rows by_y[y_u, x_u + x_v] of the (q, q, q) table
+    by_y[y_u, X, y_v], the class of the point (X, y_u + y_v).  The kept u are
+    grouped by class and weight; each group is one gather of those rows,
+    keyed with the class of v and counted by one bincount into n^2 bins."""
     q = params.q
     if q > cap:
         raise CapExceeded(f"q = {q} exceeds the oracle cap {cap}")
@@ -226,18 +241,24 @@ def oracle_table(
     n_classes = len(classes)
     cls = _class_array(params, split).reshape(q, q)  # cls[x, y]
     add = params.spec.add_table()
-    by_x = cls[:, add]
-    # key terms of the classes of u = (x_u, y_u) and v = (x_v, y_v), laid
-    # out for key[x_v, y_u, y_v] in the plane of x_u
-    key_u = cls[:, None, :, None] * n_classes**2
-    key_v = cls[:, None, :] * n_classes
+    by_y = cls[np.arange(q)[:, None], add[:, None]]  # by_y[y_u, X, y_v]
+    key_v = cls * n_classes  # key term of the class of v = (x_v, y_v)
 
-    counts = np.zeros(n_classes**3, dtype=np.int64)
-    for x_u in range(q):
-        key = by_x[add[x_u]]
+    # the kept u: coordinate indices at most those of their negatives
+    # (add[x, -x] = 0 is the least index in row x), weight 2 per nonzero one
+    half = np.flatnonzero(np.arange(q) <= add.argmin(axis=1))
+    x_u, y_u = (c.ravel() for c in np.meshgrid(half, half, indexing="ij"))
+    weight = np.where(x_u > 0, 2, 1) * np.where(y_u > 0, 2, 1)
+    group = cls[x_u, y_u] * 5 + weight  # (class, weight), weight in {1, 2, 4}
+    order = np.argsort(group)
+    bounds = np.flatnonzero(np.diff(group[order])) + 1
+
+    counts = np.zeros((n_classes, n_classes**2), dtype=np.int64)
+    for members in np.split(order, bounds):
+        key = by_y[y_u[members, None], add[x_u[members]]]  # key[u, x_v, y_v]
         key += key_v
-        key += key_u[x_u]
-        counts += np.bincount(key.ravel(), minlength=n_classes**3)
+        i, w = divmod(int(group[members[0]]), 5)
+        counts[i] += w * np.bincount(key.ravel(), minlength=n_classes**2)
     counts = counts.reshape(n_classes, n_classes, n_classes)
 
     sizes = np.bincount(cls.ravel(), minlength=n_classes)

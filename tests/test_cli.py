@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -298,7 +299,7 @@ def test_monte_carlo_outputs_match_recorded_files(args):
 
 
 _json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
-                         st.floats(), st.text(max_size=8))
+                         st.floats(), st.floats().map(np.float64), st.text(max_size=8))
 _json_value = st.recursive(
     _json_scalar,
     lambda inner: st.one_of(
@@ -312,7 +313,8 @@ _json_value = st.recursive(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_json_value)
 def test_json_writer_equals_json_dumps(obj):
-    # floats include nan and +-inf, text includes non-ASCII characters
+    # floats include nan, +-inf and a float subclass, text includes non-ASCII
+    # characters
     from conicwalk.cli import _json_text
 
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

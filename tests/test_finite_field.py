@@ -90,9 +90,17 @@ def test_inverse_of_zero_raises():
 
 def test_field_mismatch_rejected():
     a = make_prime_field(7).element(3)
-    b = make_prime_field(11).element(3)
-    with pytest.raises(FieldMismatch):
-        a + b
+    for other in (make_prime_field(11), make_extension_field(7, 2)):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__lt__", "__le__"):
+            with pytest.raises(FieldMismatch):
+                getattr(a, op)(other.element(3))
+
+
+def test_equal_fields_built_twice_mix():
+    # the spec identity test is a shortcut; equal specs still mix
+    a, b = make_field(7, 2).element(10), make_field(7, 2).element(12)
+    assert a.spec is not b.spec
+    assert a + b == b + a and (a * b) / b == a and a < b and a <= a
 
 
 @pytest.mark.parametrize("p,d", SMALL_FIELDS)

@@ -81,7 +81,11 @@ def test_row_sums_and_commutativity_oracle_gf9():
 
 
 @pytest.mark.parametrize("p,d,split", [(5, 1, True), (5, 1, False), (7, 1, True),
-                                       (3, 2, True), (3, 2, False)])
+                                       (3, 2, True), (3, 2, False),
+                                       # GF(3): the sign-flip fold keeps the indices
+                                       # {0, 1}; GF(11): q = 3 (mod 4)
+                                       (3, 1, True), (3, 1, False),
+                                       (11, 1, True), (11, 1, False)])
 @pytest.mark.parametrize("seed", [None, 11])
 def test_oracle_matches_scalar_pair_count(p, d, split, seed):
     # all q^4 ordered pairs (u, v) counted with scalar point addition and
@@ -102,28 +106,32 @@ def test_oracle_matches_scalar_pair_count(p, d, split, seed):
     assert table.sizes == np.bincount(of, minlength=len(classes)).tolist()
 
 
-# sha256 of the little-endian count bytes, as the block-wise enumeration that
-# preceded the per-plane one gave them: at the fields of the table_verify
-# benchmark with its seed-1 weights (p, d, a, b), and at GF(61)
+# sha256 of the little-endian count bytes, as the enumerations that preceded
+# the one by class of u gave them (block-wise; per x_u plane for GF(125)): at
+# the fields of the table_verify benchmark with its seed-1 weights (p, d, a, b),
+# at GF(61) and at the oracle cap GF(125)
 ORACLE_DIGESTS = {
     (5, 2, 23, 7): "a378ec9848f604b73e4bb85e412910503ceed2eb09194feb57dd00f8e4c30f8a",
     (3, 3, 1, 25): "9dc8d52c582195ff173b5b6abf34cd46b55e19504d47ef27af6b4eb0ace44d55",
     (31, 1, 24, 27): "011d0bfe19fdb473691a8048beaaa10b0b03a1c0ddfbf7790db447ed8d9e3f15",
     (7, 2, 28, 3): "ce9a42f540b333f5120fecab9bc4e9ae2603d380f5553ed6d8eb5995968a0feb",
     (61, 1, 1, 1): "27f3a1994be7792fbea549608122e8825fdfb2164663efbc7da1e72d5d504a20",
+    (5, 3, 1, 1): "b9dfec8a118c5d1ebbeeac9572dfcddc459da5ccde34022d67b6664bd42ca10c",
 }
 
 
 @pytest.mark.parametrize("p,d,a,b", list(ORACLE_DIGESTS))
 def test_oracle_counts_digest(p, d, a, b):
-    counts = oracle_table(ConicParams(make_field(p, d), a, b)).counts
-    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    table = oracle_table(ConicParams(make_field(p, d), a, b))
+    digest = hashlib.sha256(table.counts.astype("<i8").tobytes()).hexdigest()
     assert digest == ORACLE_DIGESTS[(p, d, a, b)]
+    # every ordered pair counted once: a wrong sign-flip orbit weight breaks this
+    assert np.array_equal(table.counts.sum(axis=2), np.outer(table.sizes, table.sizes))
 
 
 def test_oracle_memory_is_per_plane():
-    # one (q, q, q) plane of keys at a time; the block-wise enumeration
-    # peaked at 92.5 MiB at q = 49
+    # the (q, q, q) class table plus one class group's rows of keys at a time;
+    # the block-wise enumeration peaked at 92.5 MiB at q = 49
     params = ConicParams(make_field(7, 2), 1, 1)
     for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
         table()  # the cached field tables are not the oracle's own memory
