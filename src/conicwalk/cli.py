@@ -6,15 +6,17 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 internal
 assertion, 130 interrupted (Ctrl-C).
 
 Each input rule is stated once.  Flag ranges sit on the click options:
---d, --steps and couple's --trials >= 1, --t and --seed >= 0, mctv's
---trials >= 1000, --qmin/--qmax in [3, ARITHMETIC_CAP], --eps in
+--d and --steps >= 1, couple's --trials in [1, 2^32], mctv's --trials in
+[1000, 2^32] and --t in [0, 2^32] (``TRIAL_LIMIT``: past it the seeded
+streams alias), --seed >= 0, --qmin/--qmax in [3, ARITHMETIC_CAP], --eps in
 [1e-12, 1].  The rules that depend on q (an odd prime power within the
 arithmetic cap, weights and class labels in range(q), an enumeration within
 the oracle cap) are the library's.  ``main`` turns every user-caused error
 into exit 1 with one ``error:`` line: an invalid flag, q above the
-arithmetic or oracle cap, a non-ergodic step class, or an unwritable output
-path.  Every command checks each output path it will write before any
-computation, so exit 1 comes at once and leaves nothing behind.
+arithmetic or oracle cap, a non-ergodic step class, an unwritable output
+path, or an input too large for the memory at hand.  Every command checks
+each output path it will write before any computation, so exit 1 comes at
+once and leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .walk_analysis import (
     mixing_report,
     stationary,
 )
-from .coupling_sim import monte_carlo_tv, run_coupling_trials
+from .coupling_sim import TRIAL_LIMIT, monte_carlo_tv, run_coupling_trials
 
 EPS_DEFAULT = 1.0 / (2.0 * math.e)  # 0.18393972058572117
 EPS_MIN = 1e-12  # worst-start TV in float64 bottoms out between 1e-16 and 4e-15
@@ -380,7 +382,8 @@ def minorize(p, d, a, b, c, out, s, m):
 @field_options
 @step_option
 @start_seed_options
-@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option("--trials", type=click.IntRange(1, TRIAL_LIMIT), default=100_000,
+              show_default=True)
 @click.option("--hist-out", type=click.Path(), default=None,
               help="coalescence histogram CSV path")
 def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
@@ -403,8 +406,9 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
 @field_options
 @step_option
 @start_seed_options
-@click.option("--t", "t", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1000), default=100_000, show_default=True)
+@click.option("--t", "t", type=click.IntRange(0, TRIAL_LIMIT), default=8, show_default=True)
+@click.option("--trials", type=click.IntRange(1000, TRIAL_LIMIT), default=100_000,
+              show_default=True)
 def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
     cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
@@ -481,6 +485,10 @@ def main(argv=None) -> int:
     except (ConfigError, NotErgodic, CapExceeded, click.ClickException) as e:
         msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
         print(f"error: {msg}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        # numpy's MemoryError names the allocation that failed
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 1
     except ConicwalkError as e:
         print(f"internal: {e}", file=sys.stderr)

@@ -133,6 +133,8 @@ class ClassIndex:
         return "iso" if self._val is None else str(self._val.idx)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, ClassIndex):
             return NotImplemented
         if self.spec != other.spec:
@@ -160,7 +162,7 @@ class ClassIndex:
 
 def index_set(params: ConicParams, split: bool = True) -> list[ClassIndex]:
     """Canonical class labels: F_q in field order, isotropic last when present."""
-    classes = [ClassIndex.finite(e) for e in params.spec.elements()]
+    classes = [ClassIndex(params.spec, e) for e in params.spec.elements()]
     if split and params.split:
         classes.append(ClassIndex.isotropic(params.spec))
     return classes
@@ -194,6 +196,18 @@ def class_size(i: ClassIndex, params: ConicParams) -> int:
     if i.value.idx == 0:
         return 1
     return q + 1 if q % 4 == 3 else q - 1
+
+
+def class_sizes(params: ConicParams) -> np.ndarray:
+    """``class_size`` of every class of ``index_set(params)``, as one int64
+    vector: the zero class, q - 1 nonzero finite classes of one size, and
+    the isotropic class when present."""
+    spec = params.spec
+    sizes = np.full(params.q + params.split, class_size(ClassIndex.finite(spec.one), params))
+    sizes[0] = class_size(ClassIndex.finite(spec.zero), params)
+    if params.split:
+        sizes[-1] = class_size(ClassIndex.isotropic(spec), params)
+    return sizes
 
 
 def circle_points(

@@ -16,7 +16,10 @@ is (z >> 11) * 2^-53 for z the SplitMix64 output number (t << 32) + j + 1
 from the state SeedSequence(s).generate_state(1, uint64)[0].  A coupling
 trial meeting at step T draws the stationary start with uniform 0, steps
 n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
-T + n; step n of an MC-TV trial uses n - 1.  Draws depend only on (s, t), so
+T + n; step n of an MC-TV trial uses n - 1.  The trial index t fills the high
+32 bits of the output number, so trial t + 2^32 would repeat trial t, and
+MC-TV step n > 2^32 would read trial t + 1: trial counts and MC-TV steps stop
+at ``TRIAL_LIMIT`` = 2^32.  Draws depend only on (s, t), so
 batches are reproducible and order-independent, and walking a coupling
 batch in blocks of ``TRIAL_BLOCK`` trials, and of those only the pairs still
 apart, changes no draw.  The MC-TV bootstrap uses numpy's PCG64.
@@ -36,6 +39,7 @@ STREAM = "splitmix64-trial-counter/v1"
 COALESCENCE_STEP_LIMIT = 10**6
 BOOTSTRAP_RESAMPLES = 1000
 TRIAL_BLOCK = 1 << 14
+TRIAL_LIMIT = 1 << 32  # trials per batch, and MC-TV steps, without aliased streams
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -190,6 +194,8 @@ def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
     independently until they coincide.
     """
     s, trial = seed if isinstance(seed, tuple) else (seed, 0)
+    if not 0 <= trial < TRIAL_LIMIT:
+        raise ValueError(f"trial index must be in [0, 2^32), got {trial}")
     times, _ = _Lockstep(k, pi, s).meeting_times(
         k.position(i), np.array([trial], dtype=np.uint64), ())
     return int(times[0])
@@ -243,8 +249,8 @@ def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
     ``marginal_steps`` additionally records the stationary chain's class at
     the requested steps (it should stay pi-distributed for all t).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= TRIAL_LIMIT:
+        raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     walk, steps = _Lockstep(k, pi, seed), tuple(sorted(set(marginal_steps)))
     blocks = (np.arange(lo, min(lo + TRIAL_BLOCK, trials), dtype=np.uint64)
               for lo in range(0, trials, TRIAL_BLOCK))  # small arrays, same draws
@@ -299,10 +305,10 @@ def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,
     below the sampling noise floor, where a plain percentile interval of the
     (upward-biased) plug-in statistic cannot reach the true value.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 1000 <= trials <= TRIAL_LIMIT:
+        raise ValueError(f"trials must be in [1000, 2^32], got {trials}")
+    if not 0 <= t <= TRIAL_LIMIT:
+        raise ValueError(f"t must be in [0, 2^32], got {t}")
     walk = _Lockstep(k, pi, seed)
     base = walk.bases(np.arange(trials, dtype=np.uint64))
     x = np.full(trials, k.position(i), dtype=np.int64)

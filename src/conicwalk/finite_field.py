@@ -8,9 +8,15 @@ total order used everywhere determinism matters (CSV dumps, smallest square
 roots, worst-initial-state scans).
 
 Every field, prime or not, computes through q-by-q ``add``/``mul`` lookup
-tables built once per :class:`FieldSpec` on first use: the digit vectors are
-added mod p, or convolved and reduced top-down by the monic modulus.  A prime
-field is the d = 1 case, with modulus x.
+tables built once per :class:`FieldSpec` on first use.  ``add`` is the
+residue sum mod p at d = 1 and is extended one base-p digit at a time.
+``mul`` is read from the exponent and discrete-logarithm tables of a
+primitive element g, mul[a, b] = exp[log a + log b] (Lidl and Niederreiter,
+*Finite Fields*, 1997): g is the first candidate, from x upward (from 2 at
+d = 1), none of whose powers g^1, ..., g^(q-2) is 1.  The powers come by
+doubling through the d-by-d matrix of multiplication by g over GF(p).  A
+prime field is the d = 1 case, with modulus x.  Powers are one lookup:
+three-argument ``pow`` at d = 1, exp[n log i mod (q - 1)] above.
 """
 
 from __future__ import annotations
@@ -76,6 +82,19 @@ def _digits(n: int, p: int, width: int) -> list[int]:
     return out
 
 
+def _powers(mat: np.ndarray, p: int, count: int) -> np.ndarray:
+    """(d, count) digit vectors of g^0, ..., g^(count - 1), for ``mat`` the
+    d-by-d matrix of multiplication by g over GF(p), doubling the run each pass."""
+    vecs = np.zeros((len(mat), count), dtype=np.int64)
+    vecs[0, 0] = 1
+    n = 1
+    while n < count:
+        vecs[:, n:2 * n] = mat @ vecs[:, :min(n, count - n)] % p
+        mat = mat @ mat % p
+        n *= 2
+    return vecs
+
+
 class FieldSpec:
     """Immutable description of GF(p^d) plus cached arithmetic tables.
 
@@ -89,12 +108,16 @@ class FieldSpec:
         self.modulus = modulus
         self._add_np: np.ndarray | None = None
         self._mul_np: np.ndarray | None = None
+        self._exp_np: np.ndarray | None = None  # exp[k] = g^k, k < q - 1
+        self._log_np: np.ndarray | None = None  # log[exp[k]] = k; log[0] = 2(q - 1)
         self._chi_np: np.ndarray | None = None
         self._sqrt_np: np.ndarray | None = None
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return (self.p, self.d, self.modulus) == (other.p, other.d, other.modulus)
@@ -147,14 +170,8 @@ class FieldSpec:
 
     # -- scalar index arithmetic ---------------------------------------------
 
-    def add_idx(self, i: int, j: int) -> int:
-        return self.add_table().item(i, j)
-
     def neg_idx(self, i: int) -> int:
         return self.mul_table().item(self.p - 1, i)  # p - 1 is the index of -1
-
-    def sub_idx(self, i: int, j: int) -> int:
-        return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i: int, j: int) -> int:
         return self.mul_table().item(i, j)
@@ -162,14 +179,12 @@ class FieldSpec:
     def pow_idx(self, i: int, n: int) -> int:
         if n < 0:
             raise ValueError("negative exponent; use inv_idx")
-        mul = self.mul_table()
-        acc, base = 1, i
-        while n:
-            if n & 1:
-                acc = mul.item(acc, base)
-            base = mul.item(base, base)
-            n >>= 1
-        return acc
+        if self.d == 1:
+            return pow(int(i), n, self.p)
+        if i == 0:
+            return int(n == 0)
+        self.mul_table()  # the exp/log tables are built with it
+        return self._exp_np.item(self._log_np.item(i) * n % (self.q - 1))
 
     def inv_idx(self, i: int) -> int:
         if i == 0:
@@ -196,21 +211,43 @@ class FieldSpec:
             self._build_tables()
         return self._mul_np
 
+    def _times_matrix(self, g: int) -> np.ndarray:
+        """The d-by-d matrix over GF(p) of multiplication by g: column j holds
+        the digits of g * x^j, where x^d = -(the low terms of the modulus)."""
+        cols = [_digits(g, self.p, self.d)]
+        for _ in range(self.d - 1):
+            v = cols[-1]
+            cols.append([(c - v[-1] * m) % self.p for c, m in zip([0] + v[:-1], self.modulus)])
+        return np.array(cols, dtype=np.int64).T
+
     def _build_tables(self) -> None:
-        """Both (q, q) int64 tables from the base-p digit vectors of every index."""
-        p, d = self.p, self.d
+        """Both (q, q) int64 tables: ``add`` digit by digit, ``mul`` from the
+        exp/log tables of a primitive element (see the module docstring)."""
+        p, d, q = self.p, self.d, self.q
+        r = np.arange(p, dtype=np.int64)
+        # the residue sum: row a is r rotated left by a
+        base = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), p)[:p]
+        # index a = p * a_hi + a_0: add = p * add[a_hi, b_hi] + base[a_0, b_0]
+        add = base.copy()
+        for _ in range(d - 1):
+            m = len(add)
+            add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(m * p, m * p)
+        self._add_np = add
+
         weights = p ** np.arange(d, dtype=np.int64)
-        digits = np.arange(self.q, dtype=np.int64)[:, None] // weights % p  # (q, d)
-        x, y = digits[:, None, :], digits[None, :, :]
-        self._add_np = (x + y) % p @ weights
-        # product coefficients by convolution, then cancel degrees >= d top-down
-        prod = np.zeros((self.q, self.q, 2 * d - 1), dtype=np.int64)
-        for s in range(d):
-            prod[:, :, s:s + d] += x[:, :, s:s + 1] * y
-        low = np.array(self.modulus[:d], dtype=np.int64)
-        for deg in range(2 * d - 2, d - 1, -1):
-            prod[:, :, deg - d:deg] -= prod[:, :, deg:deg + 1] % p * low
-        self._mul_np = prod[:, :, :d] % p @ weights
+        # the first g of order q - 1, from x upward: the prime subfield holds
+        # no generator of a proper extension
+        for g in range(p if d > 1 else 2, q):
+            exp = weights @ _powers(self._times_matrix(g), p, q - 1)
+            if not (exp[1:] == 1).any():
+                break
+        log = np.empty(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)  # a zero factor lands past both copies of exp, on 0
+        ext = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        ext[:q - 1] = ext[q - 1:2 * (q - 1)] = exp
+        self._exp_np, self._log_np = exp, log
+        self._mul_np = ext.take(log[:, None] + log)
 
     def chi_table(self) -> np.ndarray:
         if self._chi_np is None:
@@ -260,20 +297,28 @@ class FieldElement:
             raise FieldMismatch(f"mixing elements of {self.spec!r} and {other.spec!r}")
         return other
 
+    # the arithmetic tests spec identity inline before falling back to _check
+
     def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.add_idx(self.idx, other.idx))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._check(other)
+        return FieldElement(spec, spec.add_table().item(self.idx, other.idx))
 
     def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.sub_idx(self.idx, other.idx))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._check(other)
+        return FieldElement(spec, spec.add_table().item(self.idx, spec.neg_idx(other.idx)))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_idx(self.idx))
 
     def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.mul_idx(self.idx, other.idx))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._check(other)
+        return FieldElement(spec, spec.mul_table().item(self.idx, other.idx))
 
     def __pow__(self, n: int):
         return FieldElement(self.spec, self.spec.pow_idx(self.idx, n))
@@ -355,9 +400,9 @@ def make_field(p: int, d: int = 1) -> FieldSpec:
 def quadratic_character(x: FieldElement) -> int:
     """1 on nonzero squares, -1 on non-squares, 0 at 0.
 
-    Computed as x^((q-1)/2) compared against 1 and -1; the cached table in
-    :meth:`FieldSpec.chi_idx` is the square-enumeration route, and the two
-    must agree (property-tested).
+    Euler's criterion: x^((q-1)/2), one lookup, compared against 1 and -1.
+    The cached table in :meth:`FieldSpec.chi_idx` is the square-enumeration
+    route, and the two must agree (property-tested).
     """
     spec = x.spec
     if x.idx == 0:

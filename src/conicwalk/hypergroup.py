@@ -39,6 +39,7 @@ from .conic_geometry import (
     ConicParams,
     ORACLE_CAP,
     class_size,
+    class_sizes,
     discriminant_character,
     index_set,
 )
@@ -347,7 +348,7 @@ def build_table(
     if not split and params.split:
         raise ValueError("no closed form for the unsplit diagnostic; use the oracle")
     classes = index_set(params)
-    sizes = [class_size(c, params) for c in classes]
+    sizes = class_sizes(params)
     # one call per column class j gives the plane C[:, j, :]
     counts = np.stack(
         [closed_row(params, classes, cj, published_isotropic_row) for cj in classes], axis=1)

@@ -30,7 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .conic_geometry import ClassIndex, ConicParams, class_size, index_set, intersection_count
+from .conic_geometry import (
+    ClassIndex,
+    ConicParams,
+    class_size,
+    class_sizes,
+    index_set,
+    intersection_count,
+)
 from .errors import (
     BranchMismatch,
     IndexInvalid,
@@ -56,12 +63,12 @@ class Kernel:
         self.params = params
         self.classes = list(classes)
         self.step = step
-        self._pos = {c: t for t, c in enumerate(self.classes)}
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.step_size = int(self.sizes[self.position(step)])
-        self.step_counts, rem = np.divmod(np.asarray(counts, dtype=np.int64),
-                                          self.sizes[:, None])
-        bad = np.flatnonzero(rem.any(axis=1))
+        counts = np.asarray(counts, dtype=np.int64)
+        # a float quotient of integers below 2^53 is exact when the division is
+        self.step_counts = (counts / self.sizes[:, None]).astype(np.int64)
+        bad = np.flatnonzero((self.step_counts * self.sizes[:, None] != counts).any(axis=1))
         if bad.size:
             raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
                              f"{self.sizes[bad[0]]}")
@@ -90,9 +97,10 @@ class Kernel:
         return self.params.branch
 
     def position(self, c: ClassIndex) -> int:
+        # a kernel looks up a few classes, most near the front: no position map
         try:
-            return self._pos[c]
-        except KeyError:
+            return self.classes.index(c)
+        except ValueError:
             raise IndexInvalid(f"{c!r} not in kernel index set") from None
 
     @cached_property
@@ -192,10 +200,10 @@ def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
         # certify the vectorised closed form against the scalar trichotomy on the
         # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
         v, row = s.value, counts[classes.index(s), 1:params.q]
-        meets = [intersection_count(v, v, k, params) for k in params.spec.elements()[1:]]
+        meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
         if not np.array_equal(row, class_size(s, params) * np.array(meets)):
             raise InternalCheckError(f"closed form disagrees with the trichotomy on row {s!r}")
-    return Kernel(params, classes, s, counts, [class_size(c, params) for c in classes])
+    return Kernel(params, classes, s, counts, class_sizes(params))
 
 
 def _laws(k: Kernel, vec: np.ndarray):
@@ -225,13 +233,17 @@ def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribu
     return Distribution(k.classes, next(itertools.islice(_laws(k, d0.probs.copy()), n, None)))
 
 
+def _size_law(classes: list[ClassIndex], sizes: np.ndarray) -> Distribution:
+    """The law proportional to the class sizes, exact and float."""
+    total = int(sizes.sum())
+    exact = {n: Fraction(n, total) for n in set(sizes.tolist())}  # a few distinct sizes
+    # int64 / int is one correctly rounded division: equals float(Fraction)
+    return Distribution(classes, sizes / total, [exact[n] for n in sizes.tolist()])
+
+
 def haar(params: ConicParams) -> Distribution:
     """Class sizes over q^2: the walk's limiting distribution."""
-    classes = index_set(params)
-    q2 = params.q ** 2
-    sizes = np.array([class_size(c, params) for c in classes])
-    # int64 / int is one correctly rounded division: equals float(Fraction)
-    return Distribution(classes, sizes / q2, [Fraction(n, q2) for n in sizes.tolist()])
+    return _size_law(index_set(params), class_sizes(params))
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +262,35 @@ class ErgodicityReport:
 
 
 def ergodicity_check(k: Kernel) -> ErgodicityReport:
-    """Irreducibility by reachability from class 0, on boolean BFS frontiers
-    of the support digraph and its transpose; aperiodicity by the gcd of
-    cycle-length differences through class 0.  ``Kernel.ergodicity`` caches it."""
-    positive = k.step_counts > 0
+    """Irreducibility by reachability from class 0, on BFS frontiers of the
+    support digraph (row 0, v K) and its transpose (row 1, K v), advanced
+    together; aperiodicity by the gcd of cycle-length differences through
+    class 0.  ``Kernel.ergodicity`` caches it.
 
-    def levels(adj):
-        """BFS level of each class from class 0, -1 where unreachable."""
-        level = np.full(k.size, -1)
-        level[0] = 0
-        frontier = level == 0
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & (level < 0)
-            level[frontier] = level.max() + 1
-        return level
-
-    level = levels(positive)
-    unreachable = np.flatnonzero((level < 0) | (levels(positive.T) < 0))
+    The period is the gcd of level[u] + 1 - level[v] over the support edges
+    u -> v, for the BFS levels from class 0.  It depends only on which level
+    pairs (a, b) carry an edge, the positive entries of the level-class
+    matrix H^T K H, H the one-hot matrix of the levels: two float products.
+    The entries of K are nonnegative, so no sum of positive terms is zero."""
+    level = np.full((2, k.size), -1)
+    level[:, 0] = 0
+    frontier = (level == 0).astype(float)
+    reach = np.empty_like(frontier)
+    t = 0
+    while frontier.any():
+        t += 1
+        np.matmul(frontier[0], k.mat, out=reach[0])
+        np.matmul(k.mat, frontier[1], out=reach[1])
+        new = (reach > 0) & (level < 0)
+        level[new] = t
+        frontier = new.astype(float)
+    unreachable = np.flatnonzero((level < 0).any(axis=0))
     irreducible = not unreachable.size
     period = None
     if irreducible:
-        # gcd of (level[u] + 1 - level[v]) over support edges u -> v
-        u, v = np.nonzero(positive)
-        period = int(np.gcd.reduce(level[u] + 1 - level[v]))
+        h = (level[0][:, None] == np.arange(level[0].max() + 1)).astype(float)
+        a, b = np.nonzero(h.T @ k.mat @ h)
+        period = int(np.gcd.reduce(a + 1 - b))
     return ErgodicityReport(
         ergodic=irreducible and period == 1,
         irreducible=irreducible,
@@ -292,9 +310,7 @@ def stationary(k: Kernel, method: str = "auto") -> Distribution:
         if not np.array_equal(k.sizes @ k.step_counts, k.step_size * k.sizes):
             raise InternalCheckError(
                 f"class sizes are not stationary for the step {k.step!r} kernel")
-        total = int(k.sizes.sum())
-        exact = [Fraction(n, total) for n in k.sizes.tolist()]
-        return Distribution(k.classes, k.sizes / total, exact)
+        return _size_law(k.classes, k.sizes)
     if method != "power":
         raise ValueError(f"unknown method {method!r}")
     laws = _laws(k, np.full(k.size, 1.0 / k.size))
@@ -512,7 +528,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
                   eps: float = 1.0 / (2.0 * math.e)) -> MixingReport:
     """Measured mixing time, proven bound, TV curve and minorization ratio."""
     k = kernel_for_step(params, s)
-    pi = haar(params)
+    pi = _size_law(k.classes, k.sizes)  # the Haar law, on the kernel's class axis
     tau, curve = mixing_time(k, pi, eps, return_curve=True)
     minor = minorization_check(k, pi)
     return MixingReport(

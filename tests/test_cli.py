@@ -405,6 +405,10 @@ def test_minorize_reports_exact_zero():
     ("mixing", "--p", "7", "--eps", "1e-300"),
     ("mixing", "--p", "7", "--eps", "inf"),
     ("kernel", "--p", "7", "--d", "0"),
+    # past 2^32 trials, or MC-TV steps, the seeded streams would alias
+    ("couple", "--p", "7", "--trials", str(2**32 + 1)),
+    ("mctv", "--p", "7", "--trials", str(2**32 + 1)),
+    ("mctv", "--p", "7", "--t", str(2**32 + 1)),
     # the later --out wins: a missing subdirectory of tmp_path
     ("kernel", "--p", "7", "--out", "{tmp}/missing/out"),
     # a second output path that cannot be written: the --out file is not kept
@@ -422,6 +426,22 @@ def test_invalid_input_exits_1_with_one_line(args, tmp_path):
     assert r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch):
+    from conicwalk import cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000000,) and data type int64")
+
+    monkeypatch.setattr(cli, "monte_carlo_tv", too_large)
+    r = run_main("mctv", "--p", "7", "--t", "1", "--trials", str(2**32),
+                 "--out", str(tmp_path / "out"))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == ("error: out of memory: Unable to allocate 74.5 GiB for an array "
+                        "with shape (10000000000,) and data type int64\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -423,3 +423,20 @@ def test_monte_carlo_tv_rejects_negative_t(setup7):
     _, k, pi = setup7
     with pytest.raises(ValueError):
         monte_carlo_tv(k.classes[0], -1, 1000, 0, k, pi)
+
+
+def test_batches_past_the_trial_limit_are_rejected_before_any_draw(setup7):
+    # trial t + 2^32 would repeat trial t, and MC-TV step 2^32 + 1 would read
+    # the next trial's uniforms; nothing is allocated before the check
+    from conicwalk.coupling_sim import TRIAL_LIMIT as limit
+
+    _, k, pi = setup7
+    assert limit == 2**32
+    with pytest.raises(ValueError, match=r"trials must be in \[1, 2\^32\]"):
+        run_coupling_trials(k, pi, k.classes[0], trials=limit + 1, seed=1)
+    with pytest.raises(ValueError, match=r"trials must be in \[1000, 2\^32\]"):
+        monte_carlo_tv(k.classes[0], 1, limit + 1, 0, k, pi)
+    with pytest.raises(ValueError, match=r"t must be in \[0, 2\^32\]"):
+        monte_carlo_tv(k.classes[0], limit + 1, 1000, 0, k, pi)
+    with pytest.raises(ValueError, match=r"trial index must be in \[0, 2\^32\)"):
+        coupled_run(k.classes[0], k, pi, (1, limit))

@@ -264,16 +264,44 @@ def test_ergodicity_matches_the_reference_bfs_on_every_step_class(field):
     assert verdicts == {True, False}  # the zero step is reducible, the rest ergodic
 
 
-@pytest.mark.parametrize("q", [127, 461, 1021])
+@pytest.mark.parametrize("q", [125, 127, 461, 1021])
 def test_ergodicity_matches_the_reference_bfs_on_the_unit_step(q):
-    k = kernel_for_step(ConicParams(make_prime_field(q), 1, 1))
+    from conicwalk.cli import admissible_prime_powers
+
+    [(_, p, d)] = admissible_prime_powers(q, q)
+    k = kernel_for_step(ConicParams(make_field(p, d), 1, 1))
     assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == (True, True, 1, [])
 
 
-def _unit_kernel(counts):
-    """A kernel on the GF(7) labels with every class of size 1."""
+def _unit_kernel(steps):
+    """A kernel on the GF(7) labels with the step matrix ``steps``, whose
+    rows all sum to one N, and every class of size N."""
     params = ConicParams(make_prime_field(7), 1, 1)
-    return Kernel(params, index_set(params), _cls(params.spec, 1), counts, [1] * 7)
+    n = int(steps[0].sum())
+    return Kernel(params, index_set(params), _cls(params.spec, 1), steps * n, [n] * 7)
+
+
+def _cyclic_steps(parts):
+    """Step matrix with rows summing to 2 that sends each class of parts[r]
+    to two classes of parts[r + 1], cyclically: every cycle length is a
+    multiple of len(parts)."""
+    steps = np.zeros((7, 7), dtype=np.int64)
+    for r, part in enumerate(parts):
+        after = parts[(r + 1) % len(parts)]
+        for t, u in enumerate(part):
+            steps[u, after[t % len(after)]] += 1
+            steps[u, after[(t + 1) % len(after)]] += 1
+    return steps
+
+
+@pytest.mark.parametrize("parts", [
+    [[0, 1, 2], [3, 4, 5, 6]],
+    [[0, 1], [2, 3], [4, 5, 6]],
+], ids=["period-2", "period-3"])
+def test_ergodicity_reports_the_period_of_a_layered_kernel(parts):
+    k = _unit_kernel(_cyclic_steps(parts))
+    want = (False, True, len(parts), [])
+    assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == want
 
 
 def test_ergodicity_reports_the_period_of_a_cycle():
