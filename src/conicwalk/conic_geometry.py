@@ -373,16 +373,20 @@ def _check_centre_pairs(
 def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None:
     """The first grid entry, in row-major order, off the translation identity
     grid[x, z] = grid[0, z - x], as ("translation", x, z, grid[x, z],
-    grid[0, z - x]); None when the whole grid keeps it."""
+    grid[0, z - x]); None when the whole grid keeps it.  The grid is read in
+    blocks of q rows, the points (x1, .), so beyond it the check holds O(q^3)."""
     q = params.q
     d = _differences(params.spec)
-    # grid[0, z - x] for every pair of point ids (x, z), in one gather by coordinate
-    shifted = grid[0].reshape(q, q)[d[:, None, :, None], d[None, :, None, :]].reshape(q * q, q * q)
-    broken = grid != shifted
-    if not broken.any():
-        return None
-    x, z = divmod(int(broken.argmax()), q * q)
-    return ("translation", x, z, int(grid[x, z]), int(shifted[x, z]))
+    origin = grid[0].reshape(q, q)
+    for x1 in range(q):
+        # grid[0, z - x] for the points x = (x1, x2) and z = (z1, z2), indexed [x2, z1, z2]
+        shifted = origin[d[x1][None, :, None], d[:, None, :]].reshape(q, q * q)
+        block = grid[x1 * q:(x1 + 1) * q]
+        broken = block != shifted
+        if broken.any():
+            x2, z = divmod(int(broken.argmax()), q * q)
+            return ("translation", x1 * q + x2, z, int(block[x2, z]), int(shifted[x2, z]))
+    return None
 
 
 def verify_intersection_trichotomy(
@@ -401,7 +405,9 @@ def verify_intersection_trichotomy(
     One D of each pair {D, -D} suffices: both stand for the same unordered
     pairs, and relabelling Z -> Z - D makes the histogram of (0, -D) the
     transpose of that of (0, D), read against the same prediction slice as
-    Q(0, -D) = Q(0, D).  Larger fields check a seeded sample of centre pairs.
+    Q(0, -D) = Q(0, D).  Both the identity and the histograms are checked in
+    blocks of q grid rows, the points (x1, .), so beyond the (q^2, q^2) grid
+    the check holds O(q^3).  Larger fields check a seeded sample of centre pairs.
 
     Returns a summary dict with the number of unordered centre pairs checked
     and any mismatches.  A histogram mismatch is (x, y, i, j, measured,
@@ -412,27 +418,29 @@ def verify_intersection_trichotomy(
     """
     q = params.q
     n_pts = q * q
+    pairs_checked = 0
+    mismatches = []
 
     if q <= EXHAUSTIVE_CENTER_CAP:
         pred = predicted_intersection_table(params)
         grid = quadrance_value_grid(params)
         broken = _translation_mismatch(params, grid)
         if broken:
-            pairs_checked = 0
-            mismatches = [broken]
+            mismatches.append(broken)
         else:
             # one D of each pair {D, -D}, the one with the smaller point id
             neg = params.spec.mul_table()[params.spec.p - 1]  # multiplication by -1
             half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
-            pairs, mismatches = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
-                                                    half, grid[half])
-            pairs_checked = n_pts * pairs
+            # the kept D in blocks of q grid rows, the points (x1, .)
+            for ds in np.split(half, np.searchsorted(half, np.arange(q, n_pts, q))):
+                pairs, bad = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
+                                                 ds, grid[ds])
+                pairs_checked += n_pts * pairs
+                mismatches += bad[:20 - len(mismatches)]
     else:
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, n_pts, size=sample_centers)
         others = rng.integers(0, n_pts, size=sample_centers)
-        pairs_checked = 0
-        mismatches = []
         slices = {}  # prediction slices by separation: pairs often share one
 
         def predict(ks):

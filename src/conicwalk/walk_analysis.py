@@ -421,8 +421,10 @@ def minorization_check(k: Kernel, pi: Distribution, m: int | None = None) -> dic
 
     The reference applies at its own power, for q = 3 (mod 4) or q >= 13;
     where it does not apply the verdict is ok.  The exact constant decides
-    when present, else the float one within 1e-12.
+    when present, else the float one within 1e-12.  A kernel that is not
+    ergodic has no verdict: it raises ``NotErgodic``.
     """
+    k.require_ergodic()
     ref_m, ref_c = minorization_reference(k.q, k.branch)
     m = ref_m if m is None else m
     exact, measured = minorization_constant(k, pi, m)

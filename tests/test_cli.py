@@ -396,6 +396,7 @@ def test_minorize_reports_exact_zero():
     ("couple", "--p", "7", "--trials", "10", "--s", "0"),
     ("stationary", "--p", "7", "--s", "0"),
     ("mixing", "--p", "7", "--s", "0", "--eps", "1"),
+    ("minorize", "--p", "7", "--s", "0"),
     # a field above the oracle cap is rejected before anything is written
     ("constants", "--p", "13", "--verify-oracle", "--cap", "10"),
     ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--cap", "10"),

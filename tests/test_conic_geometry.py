@@ -301,8 +301,10 @@ def test_quadrance_value_grid_rows_are_rows_of_the_grid(rows):
 
 
 def test_exhaustive_trichotomy_memory():
-    # the grid, its translation check and the q^2 - 1 histograms at q = 31;
-    # building the grid and the difference table element-wise took 49.4 MiB
+    # the grid and, block by block, its translation check and the histograms
+    # at q = 31: 8.2 MiB, of which the (q^2, q^2) int64 grid is 7.0 MiB; the
+    # translation check and histograms over the whole grid at once took
+    # 22.1 MiB, and building the grid and the difference table element-wise 49.4 MiB
     params = ConicParams(make_prime_field(31), 1, 1)
     for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
         table()  # the cached field tables are not the check's own memory
@@ -313,18 +315,22 @@ def test_exhaustive_trichotomy_memory():
     finally:
         tracemalloc.stop()
     assert result["ok"] and result["pairs_checked"] == TRICHOTOMY_PAIRS[(31, 1)]
-    assert peak < 45 * 2**20
+    assert peak < 12 * 2**20
 
 
-@pytest.mark.parametrize("x,z", [(5, 17), (48, 0)])
+# the earlier entry in row-major order is reported, whatever the order of the breaks
+@pytest.mark.parametrize("breaks", [
+    pytest.param([(5, 17)], id="5-17"), pytest.param([(48, 0)], id="48-0"),
+    pytest.param([(48, 0), (5, 17)], id="48-0-and-5-17")])
 def test_intersection_trichotomy_catches_a_grid_off_the_translation_identity(
-    x, z, monkeypatch
+    breaks, monkeypatch
 ):
     real = conic_geometry.quadrance_value_grid
 
     def mutated(params):
         grid = real(params).copy()
-        grid[x, z] = (grid[x, z] + 1) % params.q
+        for entry in breaks:
+            grid[entry] = (grid[entry] + 1) % params.q
         return grid
 
     params = ConicParams(make_prime_field(7), 1, 1)
@@ -332,11 +338,49 @@ def test_intersection_trichotomy_catches_a_grid_off_the_translation_identity(
     result = verify_intersection_trichotomy(params)
     assert not result["ok"]
     spec, q = params.spec, params.q
+    x, z = min(breaks)
     (xx, xy), (zx, zy) = (map(spec.element, divmod(u, q)) for u in (x, z))
     # grid[0, z - x] is the quadrance from the origin to the point z - x
     shift = quadrance(_pt(spec, 0, 0), Point(zx - xx, zy - xy), params).idx
     assert result["mismatches"] == [
         ("translation", x, z, (real(params)[x, z] + 1) % q, shift)]
+
+
+def _single_pass_comparison(params, pred):
+    """(pairs_checked, mismatches) of the histogram comparison over every kept
+    D at once, as the exhaustive check made it before it went by blocks."""
+    q = params.q
+    n = q * q
+    grid = conic_geometry.quadrance_value_grid(params)
+    neg = params.spec.mul_table()[params.spec.p - 1]
+    half = np.flatnonzero(np.arange(n) < (neg[:, None] * q + neg).ravel())
+    keys = grid[half] + np.arange(len(half))[:, None] * n + grid[0] * q
+    counts = np.bincount(keys.ravel(), minlength=len(half) * n).reshape(len(half), q, q)
+    k = grid[0, half]
+    valid = k != 0
+    measured = counts[valid][:, 1:, 1:]
+    expected = pred[1:, 1:, k[valid]].transpose(2, 0, 1)
+    mismatches = [(0, int(half[valid][r]), int(i + 1), int(j + 1),
+                   int(measured[r, i, j]), int(expected[r, i, j]))
+                  for r, i, j in np.argwhere(measured != expected)[:20]]
+    return n * int(valid.sum()), mismatches
+
+
+@pytest.mark.parametrize("p,d,seed", [(13, 1, 3), (5, 2, 1)])
+def test_blocked_trichotomy_reports_the_single_pass_mismatches(p, d, seed, monkeypatch):
+    spec = make_field(p, d)
+    params = ConicParams(spec, *seeded_weights(spec, seed))
+    flipped = conic_geometry.predicted_intersection_table(params)
+    # one wrong count, (1, 2), for each kept D at the separations 1..4:
+    # about 2q mismatches, spread over the blocks of q grid rows
+    flipped[1, 2, 1:5] = (flipped[1, 2, 1:5] + 1) % 3
+    monkeypatch.setattr(conic_geometry, "predicted_intersection_table", lambda _: flipped)
+    result = verify_intersection_trichotomy(params)
+    pairs, mismatches = _single_pass_comparison(params, flipped)
+    assert result["pairs_checked"] == pairs == TRICHOTOMY_PAIRS.get((p, d), pairs)
+    assert result["mismatches"] == mismatches and len(mismatches) == 20
+    # the first 20 span more than one block of q grid rows
+    assert len({y // spec.q for _, y, *_ in mismatches}) > 1
 
 
 @pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
