@@ -15,8 +15,9 @@ the oracle cap) are the library's.  ``main`` turns every user-caused error
 into exit 1 with one ``error:`` line: an invalid flag, q above the
 arithmetic or oracle cap, a non-ergodic step class, an unwritable output
 path, or an input too large for the memory at hand.  Every command checks
-each output path it will write before any computation, so exit 1 comes at
-once and leaves nothing behind.
+each output path it will write before any computation, and rejects two
+output paths that name one file (by ``os.path.realpath``), so exit 1 comes
+at once and leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -115,9 +116,14 @@ def _config_comment(cfg: RunConfig) -> str:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Fail as opening each given output path would, before any is written;
-    no path is created."""
+    """Fail as opening each given output path would, before any is written,
+    and when two given paths name one file; no path is created."""
+    seen = {}
     for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"cannot write {path}: same file as {seen[real]}")
+        seen[real] = path
         parent = os.path.dirname(path) or "."
         try:
             if os.path.isdir(path):
@@ -442,9 +448,9 @@ def scan(qmin, qmax, branch, eps, out):
                 continue
             rep = mixing_report(ConicParams(make_field(p, d), 1, 1), eps=eps)
             ratios.append(rep.tau / q)
-            num, den = rep.minorization_reference.split("/")
+            num, den = rep.minorization["reference"].split("/")
             yield _csv_line((q, rep.branch, rep.class_count, rep.tau, rep.tau_bound,
-                             _fmt_float(rep.minorization_measured),
+                             _fmt_float(rep.minorization["measured"]),
                              _fmt_float(int(num) / int(den)), _fmt_float(ratios[-1])))
             if rep.tau > rep.tau_bound:
                 _note(f"q={q}: tau {rep.tau} exceeds bound {rep.tau_bound}")

@@ -20,6 +20,7 @@ from .finite_field import FieldElement, FieldSpec, quadratic_character, sqrt
 
 ORACLE_CAP = 125
 EXHAUSTIVE_CENTER_CAP = 31
+SAMPLE_SEED = 0  # seed of the sampled centre pairs above EXHAUSTIVE_CENTER_CAP
 
 
 class ConicParams:
@@ -95,8 +96,7 @@ class Point:
 class ClassIndex:
     """Label of a weighted-circle class: a quadrance value, or the isotropic class.
 
-    The isotropic label exists only when q = 1 (mod 4).  Ordering puts finite
-    labels in canonical field order and the isotropic label last.
+    The isotropic label exists only when q = 1 (mod 4).
     """
 
     __slots__ = ("spec", "_val")
@@ -142,15 +142,6 @@ class ClassIndex:
         if self._val is None or other._val is None:
             return self._val is None and other._val is None
         return self._val.idx == other._val.idx
-
-    def __lt__(self, other: "ClassIndex") -> bool:
-        if self.spec != other.spec:
-            raise FieldMismatch("ordering classes over different fields")
-        if self._val is None:
-            return False
-        if other._val is None:
-            return True
-        return self._val.idx < other._val.idx
 
     def __hash__(self) -> int:
         v = -1 if self._val is None else self._val.idx
@@ -210,9 +201,7 @@ def class_sizes(params: ConicParams) -> np.ndarray:
     return sizes
 
 
-def circle_points(
-    i: ClassIndex, params: ConicParams, split: bool = True, cap: int = ORACLE_CAP
-) -> list[Point]:
+def circle_points(i: ClassIndex, params: ConicParams, cap: int = ORACLE_CAP) -> list[Point]:
     """All points of the class, by exhaustive enumeration in lex (x, y) order."""
     q = params.q
     if q > cap:
@@ -223,7 +212,7 @@ def circle_points(
     for x in els:
         for y in els:
             p = Point(x, y)
-            if classify(p, params, split=split) == i:
+            if classify(p, params) == i:
                 out.append(p)
     return out
 
@@ -255,12 +244,11 @@ def intersection_count(
 
 
 def intersection_points(
-    i: FieldElement, j: FieldElement, x: Point, y: Point, params: ConicParams,
-    cap: int = ORACLE_CAP,
+    i: FieldElement, j: FieldElement, x: Point, y: Point, params: ConicParams
 ) -> list[Point]:
     """Brute-force common points Z with Q(X,Z) = i and Q(Y,Z) = j."""
-    if params.q > cap:
-        raise CapExceeded(f"q = {params.q} exceeds the enumeration cap {cap}")
+    if params.q > ORACLE_CAP:
+        raise CapExceeded(f"q = {params.q} exceeds the enumeration cap {ORACLE_CAP}")
     els = params.spec.elements()
     out = []
     for zx in els:
@@ -389,11 +377,7 @@ def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None
     return None
 
 
-def verify_intersection_trichotomy(
-    params: ConicParams,
-    sample_centers: int = 200,
-    seed: int = 0,
-) -> dict:
+def verify_intersection_trichotomy(params: ConicParams, sample_centers: int = 200) -> dict:
     """Check measured pairwise circle intersections against the trichotomy.
 
     For q <= ``EXHAUSTIVE_CENTER_CAP`` every unordered centre pair X != Y with
@@ -407,7 +391,8 @@ def verify_intersection_trichotomy(
     transpose of that of (0, D), read against the same prediction slice as
     Q(0, -D) = Q(0, D).  Both the identity and the histograms are checked in
     blocks of q grid rows, the points (x1, .), so beyond the (q^2, q^2) grid
-    the check holds O(q^3).  Larger fields check a seeded sample of centre pairs.
+    the check holds O(q^3).  Larger fields check ``sample_centers`` centre
+    pairs drawn under ``SAMPLE_SEED``.
 
     Returns a summary dict with the number of unordered centre pairs checked
     and any mismatches.  A histogram mismatch is (x, y, i, j, measured,
@@ -438,7 +423,7 @@ def verify_intersection_trichotomy(
                 pairs_checked += n_pts * pairs
                 mismatches += bad[:20 - len(mismatches)]
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SAMPLE_SEED)
         starts = rng.integers(0, n_pts, size=sample_centers)
         others = rng.integers(0, n_pts, size=sample_centers)
         slices = {}  # prediction slices by separation: pairs often share one

@@ -228,17 +228,9 @@ class CouplingStats:
         return (p * (1.0 - p) / self.trials) ** 0.5
 
     def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "step": self.step,
-            "trials": self.trials,
-            "seed": self.seed,
-            "stream": STREAM,
-            "mean_time": self.mean_time,
-            "times": self.times,
-            "tail": self.tail_curve(),
-            "marginal_counts": {str(t): c for t, c in self.marginal_counts.items()},
-        }
+        return {**vars(self), "stream": STREAM, "mean_time": self.mean_time,
+                "tail": self.tail_curve(),
+                "marginal_counts": {str(t): c for t, c in self.marginal_counts.items()}}
 
 
 def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
@@ -281,16 +273,7 @@ class MonteCarloTV:
         return self.ci_low <= exact <= self.ci_high
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "trials": self.trials,
-            "seed": self.seed,
-            "stream": STREAM,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "counts": self.counts,
-        }
+        return {**vars(self), "stream": STREAM}
 
 
 def monte_carlo_tv(i: ClassIndex, t: int, trials: int, seed: int,

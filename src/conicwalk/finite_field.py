@@ -355,18 +355,16 @@ class FieldElement:
         return f"{self.idx}~{list(self.coeffs)}"
 
 
-def make_prime_field(p: int, cap: int = ARITHMETIC_CAP) -> FieldSpec:
+def make_prime_field(p: int) -> FieldSpec:
     """GF(p) for an odd prime p (trial-division check, desk scale)."""
     if not isinstance(p, int) or not _is_odd_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
-    if p > cap:
-        raise CapExceeded(f"q = {p} exceeds the arithmetic cap {cap}")
+    if p > ARITHMETIC_CAP:
+        raise CapExceeded(f"q = {p} exceeds the arithmetic cap {ARITHMETIC_CAP}")
     return FieldSpec(p, 1, (0, 1))
 
 
-def make_extension_field(
-    p: int, d: int, modulus=None, cap: int = ARITHMETIC_CAP
-) -> FieldSpec:
+def make_extension_field(p: int, d: int, modulus=None) -> FieldSpec:
     """GF(p^d), d >= 2, with the lexicographically smallest irreducible modulus.
 
     ``modulus`` overrides the automatic choice (for cross-checking tables
@@ -377,8 +375,8 @@ def make_extension_field(
         raise NotOddPrime(f"{p} is not an odd prime")
     if d < 2:
         raise ValueError("make_extension_field requires d >= 2; use make_prime_field")
-    if p**d > cap:
-        raise CapExceeded(f"q = {p}^{d} exceeds the arithmetic cap {cap}")
+    if p**d > ARITHMETIC_CAP:
+        raise CapExceeded(f"q = {p}^{d} exceeds the arithmetic cap {ARITHMETIC_CAP}")
     if modulus is not None:
         coeffs = [int(c) % p for c in modulus]
         if len(coeffs) != d + 1 or coeffs[-1] != 1:

@@ -45,6 +45,9 @@ from .conic_geometry import (
 )
 from .errors import CapExceeded, IndexInvalid
 
+MAX_MISMATCHES = 50  # differing triples listed by ``StructureTable.mismatches``
+MAX_VIOLATIONS = 20  # violating indices listed per axiom by ``verify_axioms``
+
 
 def _fraction_texts(counts: np.ndarray, dens, sep: str = "/", labels=None) -> np.ndarray:
     """Object array shaped like the non-negative ``counts``: the text
@@ -144,8 +147,9 @@ class StructureTable:
         return (self.counts * other.pair_sizes[:, :, None]
                 != other.counts * self.pair_sizes[:, :, None])
 
-    def mismatches(self, other: "StructureTable", limit: int = 50) -> list[dict]:
-        """Entry-level differences against another table on the same index set."""
+    def mismatches(self, other: "StructureTable") -> list[dict]:
+        """The first ``MAX_MISMATCHES`` entry-level differences against another
+        table on the same index set."""
         differ = self.differs(other)
         labels = [c.label() for c in self.classes]
         return [
@@ -156,7 +160,7 @@ class StructureTable:
                 self.source: str(self._ratio(self.counts, i, j, k)),
                 other.source: str(other._ratio(other.counts, i, j, k)),
             }
-            for i, j, k in np.argwhere(differ)[:limit].tolist()
+            for i, j, k in np.argwhere(differ)[:MAX_MISMATCHES].tolist()
         ]
 
     def _reduced(self) -> tuple[list, list]:
@@ -336,26 +340,20 @@ def structure_constant(
 def build_table(
     params: ConicParams,
     source: str = "closed-form",
-    split: bool = True,
     published_isotropic_row: bool = False,
-    cap: int = ORACLE_CAP,
 ) -> StructureTable:
     """Materialize the full table from the chosen source."""
     if source == "oracle":
-        return oracle_table(params, split=split, cap=cap)
+        return oracle_table(params)
     if source != "closed-form":
         raise ValueError(f"unknown source {source!r}")
-    if not split and params.split:
-        raise ValueError("no closed form for the unsplit diagnostic; use the oracle")
     classes = index_set(params)
     sizes = class_sizes(params)
     # one call per column class j gives the plane C[:, j, :]
     counts = np.stack(
         [closed_row(params, classes, cj, published_isotropic_row) for cj in classes], axis=1)
-    return StructureTable(
-        params, classes, sizes, counts, "closed-form", split=True,
-        validate=not published_isotropic_row,
-    )
+    return StructureTable(params, classes, sizes, counts, "closed-form",
+                          validate=not published_isotropic_row)
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +382,13 @@ class AxiomReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "positivity": self.positivity,
-            "normalization": self.normalization,
-            "hermitian_support": self.hermitian_support,
-            "commutativity": self.commutativity,
-            "identity_row": self.identity_row,
-            "all_pass": self.all_pass,
-            "violations": self.violations,
-        }
+        return {**vars(self), "all_pass": self.all_pass}
 
 
-def verify_axioms(table: StructureTable, max_violations: int = 20) -> AxiomReport:
+def verify_axioms(table: StructureTable) -> AxiomReport:
     """Check positivity, exact normalization, hermitian support at the
-    identity (n[i,j,0] > 0 iff i = j), commutativity, and the identity row."""
+    identity (n[i,j,0] > 0 iff i = j), commutativity, and the identity row,
+    listing at most ``MAX_VIOLATIONS`` violations per axiom."""
     counts, den = table.counts, table.pair_sizes
     labels = [c.label() for c in table.classes]
     zero = next(t for t, c in enumerate(table.classes) if c.is_zero)
@@ -427,7 +418,7 @@ def verify_axioms(table: StructureTable, max_violations: int = 20) -> AxiomRepor
     report = AxiomReport()
     for axiom, (mask, item) in checks.items():
         setattr(report, axiom, not mask.any())
-        hits = np.argwhere(mask)[:max_violations].tolist()
+        hits = np.argwhere(mask)[:MAX_VIOLATIONS].tolist()
         if hits:
             report.violations[axiom] = [item(*hit) for hit in hits]
     return report

@@ -50,6 +50,7 @@ from .hypergroup import StructureTable, _fraction_texts, closed_row
 
 STATIONARY_TOL = 1e-13
 DECAY_SLACK = 1e-10
+DECAY_STEPS = 30
 MONOTONE_SLACK = 1e-12
 
 
@@ -394,8 +395,9 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
     the step matrix c is a nonnegative integer at most N_s^m, so below 2^53
     that one BLAS power holds the exact integers.  The exact minimum of
     v_j / (N_s^m pi_j) over the column minima v_j is then found by integer
-    cross-multiplication among the columns whose float ratio, within a few
-    ulp of the exact one, lies within 1e-12 of the float minimum.  Above
+    cross-multiplication among the columns whose float ratio to ``pi.probs``
+    (pi.exact correctly rounded, in every law the package builds), within a
+    few ulp of the exact one, lies within 1e-12 of the float minimum.  Above
     2^53, or without an exact pi, the constant is float only: (None, float).
     """
     if m < 1:
@@ -405,7 +407,7 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
         mat = np.linalg.matrix_power(k.mat, m)
         return None, float((mat / pi.probs[None, :]).min())
     col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
-    ratio = col_min / np.array([float(pj) for pj in pi.exact])
+    ratio = col_min / pi.probs
     num, den = 1, 0  # the running minimum num / den of v_j / pi_j, from +infinity
     for j in np.flatnonzero(ratio <= ratio.min() * (1 + 1e-12)).tolist():
         v, p = int(col_min[j]) * pi.exact[j].denominator, pi.exact[j].numerator
@@ -454,12 +456,12 @@ class DecayCheck:
     ok: bool
 
 
-def geometric_decay_check(k: Kernel, pi: Distribution, m: int, c,
-                          n_max: int = 30) -> list[DecayCheck]:
-    """Worst-start TV at step m*n against (1-c)^n + slack for n = 1..n_max."""
+def geometric_decay_check(k: Kernel, pi: Distribution, m: int, c) -> list[DecayCheck]:
+    """Worst-start TV at step m*n against (1-c)^n + slack for n = 1..DECAY_STEPS."""
     c = float(c)
     out = []
-    for n, measured in enumerate(itertools.islice(_worst_tv(k, pi), m, m * n_max + 1, m), 1):
+    for n, measured in enumerate(
+            itertools.islice(_worst_tv(k, pi), m, m * DECAY_STEPS + 1, m), 1):
         bound = (1.0 - c) ** n + DECAY_SLACK
         out.append(DecayCheck(n=n, measured=measured, bound=bound, ok=measured <= bound))
     return out
@@ -500,30 +502,10 @@ class MixingReport:
     tau: int
     tau_bound: int
     curve: list[float]
-    minorization_m: int
-    minorization_measured: float
-    minorization_measured_exact: str | None
-    minorization_reference: str
-    minorization_ok: bool
+    minorization: dict  # minorization_check's verdict less reference_m and reference_applicable
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "branch": self.branch,
-            "class_count": self.class_count,
-            "step": self.step,
-            "eps": self.eps,
-            "tau": self.tau,
-            "tau_bound": self.tau_bound,
-            "curve": self.curve,
-            "minorization": {
-                "m": self.minorization_m,
-                "measured": self.minorization_measured,
-                "measured_exact": self.minorization_measured_exact,
-                "reference": self.minorization_reference,
-                "ok": self.minorization_ok,
-            },
-        }
+        return dict(vars(self))
 
 
 def mixing_report(params: ConicParams, s: ClassIndex | None = None,
@@ -533,6 +515,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
     pi = _size_law(k.classes, k.sizes)  # the Haar law, on the kernel's class axis
     tau, curve = mixing_time(k, pi, eps, return_curve=True)
     minor = minorization_check(k, pi)
+    del minor["reference_m"], minor["reference_applicable"]
     return MixingReport(
         q=k.q,
         branch=k.branch,
@@ -542,9 +525,5 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
         tau=tau,
         tau_bound=mixing_time_bound(k.q, k.branch),
         curve=curve,
-        minorization_m=minor["m"],
-        minorization_measured=minor["measured"],
-        minorization_measured_exact=minor["measured_exact"],
-        minorization_reference=minor["reference"],
-        minorization_ok=minor["ok"],
+        minorization=minor,
     )

@@ -186,7 +186,7 @@ def test_criterion_08_geometric_decay(closed_tables):
         k = kernel(table, ClassIndex.finite(table.params.spec.one))
         pi = haar(table.params)
         m, ref = minorization_reference(q, q % 4)
-        checks = geometric_decay_check(k, pi, m, ref, n_max=30)
+        checks = geometric_decay_check(k, pi, m, ref)
         failures += [(q, c.n) for c in checks if not c.ok]
     _report(8, "geometric decay", not failures,
             "TV(mn) <= (1-c)^n + 1e-10 for n <= 30, q in {7, 13}")

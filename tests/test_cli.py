@@ -162,6 +162,16 @@ def test_minorize_gf13(tmp_path):
     assert payload["minorization"]["ok"] is True
 
 
+@pytest.mark.parametrize("field", [("--p", "13"), ("--p", "31"), ("--p", "13", "--s", "iso")],
+                         ids=" ".join)
+def test_mixing_carries_the_minorize_verdict(field):
+    r_mix, r_min = run_main("mixing", *field), run_main("minorize", *field)
+    assert r_mix.returncode == r_min.returncode == 0, r_mix.stderr + r_min.stderr
+    verdict = json.loads(r_min.stdout)["minorization"]
+    del verdict["reference_m"], verdict["reference_applicable"]
+    assert json.loads(r_mix.stdout)["mixing"]["minorization"] == verdict
+
+
 def test_couple_and_histogram(tmp_path):
     out = tmp_path / "c.json"
     hist = tmp_path / "c.csv"
@@ -546,6 +556,29 @@ def test_unwritable_output_exits_1_before_any_computation(args, tmp_path, monkey
     r = run_main(*args, "--out", str(out))
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("constants", "--p", "7", "--verify-oracle", "--out", "t.csv", "--errata-out", "t.csv"),
+    ("constants", "--p", "7", "--verify-oracle", "--out", "./t.csv", "--errata-out", "t.csv"),
+    ("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "h.csv"),
+    ("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "./h.csv"),
+], ids=" ".join)
+def test_two_outputs_naming_one_file_exit_1_before_any_computation(args, tmp_path,
+                                                                    monkeypatch):
+    from conicwalk import cli
+
+    def computed(*a, **kw):
+        raise AssertionError("computed before the output paths were checked")
+
+    for name in ("run_coupling_trials", "kernel_for_step", "build_table", "oracle_table"):
+        monkeypatch.setattr(cli, name, computed)
+    monkeypatch.chdir(tmp_path)
+    r = run_main(*args)
+    first, second = args[-3], args[-1]
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: cannot write {second}: same file as {first}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -579,13 +579,13 @@ def test_minorization_reference_values():
 
 
 def test_geometric_decay_gf7(k7, pi7):
-    checks = geometric_decay_check(k7, pi7, 4, Fraction(294, 4096), n_max=30)
+    checks = geometric_decay_check(k7, pi7, 4, Fraction(294, 4096))
     assert len(checks) == 30
     assert all(c.ok for c in checks)
 
 
 def test_geometric_decay_gf13(k13, pi13):
-    checks = geometric_decay_check(k13, pi13, 6, Fraction(1, 39), n_max=30)
+    checks = geometric_decay_check(k13, pi13, 6, Fraction(1, 39))
     assert all(c.ok for c in checks)
 
 
