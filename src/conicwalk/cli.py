@@ -16,8 +16,9 @@ into exit 1 with one ``error:`` line: an invalid flag, q above the
 arithmetic or oracle cap, a non-ergodic step class, an unwritable output
 path, or an input too large for the memory at hand.  Every command checks
 each output path it will write before any computation, and rejects two
-output paths that name one file (by ``os.path.realpath``), so exit 1 comes
-at once and leaves nothing behind.
+output paths that name one file (by ``os.path.realpath``, and by device and
+inode for files that exist, so hard links count), so exit 1 comes at once
+and leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -117,13 +118,18 @@ def _config_comment(cfg: RunConfig) -> str:
 
 def _check_writable(*paths: str | None) -> None:
     """Fail as opening each given output path would, before any is written,
-    and when two given paths name one file; no path is created."""
+    and when two given paths name one file (one real path, or, for files
+    that exist, one device and inode: hard links); no path is created."""
     seen = {}
     for path in filter(None, paths):
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ConfigError(f"cannot write {path}: same file as {seen[real]}")
-        seen[real] = path
+        keys = [os.path.realpath(path)]
+        if os.path.exists(path):
+            st = os.stat(path)
+            keys.append((st.st_dev, st.st_ino))
+        for key in keys:
+            if key in seen:
+                raise ConfigError(f"cannot write {path}: same file as {seen[key]}")
+        seen.update(dict.fromkeys(keys, path))
         parent = os.path.dirname(path) or "."
         try:
             if os.path.isdir(path):

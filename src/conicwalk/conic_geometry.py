@@ -10,6 +10,7 @@ axioms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,6 +180,12 @@ def classify(p: Point, params: ConicParams, split: bool = True) -> ClassIndex:
     return ClassIndex.finite(v)
 
 
+def class_positions(classes: list[ClassIndex], q: int) -> np.ndarray:
+    """Each class's position in ``index_set``, as int64: the index of its
+    value, q for the isotropic class."""
+    return np.array([q if c._val is None else c._val.idx for c in classes], dtype=np.int64)
+
+
 def class_size(i: ClassIndex, params: ConicParams) -> int:
     """Closed-form point count of a class; equals len(circle_points(i, params))."""
     q = params.q
@@ -217,9 +224,11 @@ def circle_points(i: ClassIndex, params: ConicParams, cap: int = ORACLE_CAP) -> 
     return out
 
 
-def _inv4_idx(spec: FieldSpec) -> int:
-    """Index of 1/4, which lies in the prime subfield, where an index is its residue."""
-    return pow(4, -1, spec.p)
+@functools.lru_cache(maxsize=None)
+def _inv4_idx(p: int) -> int:
+    """Index of 1/4 in characteristic p: it lies in the prime subfield, where
+    an index is its residue."""
+    return pow(4, -1, p)
 
 
 def f_discriminant(i: FieldElement, j: FieldElement, k: FieldElement) -> FieldElement:
@@ -230,7 +239,7 @@ def f_discriminant(i: FieldElement, j: FieldElement, k: FieldElement) -> FieldEl
     """
     spec = i.spec
     s = i + j - k
-    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec))
+    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec.p))
 
 
 def intersection_count(
@@ -238,7 +247,7 @@ def intersection_count(
 ) -> int:
     """Number of common points of radius-i and radius-j circles whose centres
     are at quadrance k, by the discriminant trichotomy (0 / 1 / 2)."""
-    if not (i and j and k):
+    if not (i.idx and j.idx and k.idx):
         raise ZeroQuadranceArg("intersection counts require i, j, k all nonzero")
     return quadratic_character(f_discriminant(i, j, k)) + 1
 
@@ -265,8 +274,7 @@ def intersection_points(
 
 def _differences(spec: FieldSpec) -> np.ndarray:
     """(q, q) table of element indices d[x, z] = z - x."""
-    neg = spec.mul_table()[spec.p - 1]  # multiplication by -1, whose index is p - 1
-    return spec.add_table()[neg[:, None], np.arange(spec.q)[None, :]]
+    return spec.add_table()[spec.neg_table()[:, None], np.arange(spec.q)[None, :]]
 
 
 def _coordinate_quadrances(params: ConicParams) -> tuple[np.ndarray, np.ndarray]:
@@ -303,14 +311,20 @@ def origin_quadrance_values(params: ConicParams) -> np.ndarray:
 def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
     """Quadratic character of f(i, j, k) over broadcast arrays of element
     indices, as int64: the vectorised form of
-    ``quadratic_character(f_discriminant(i, j, k))``."""
-    add = spec.add_table()
-    mul = spec.mul_table()
-    neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
-    s = add[add[i, j], neg[k]]
-    f = add[mul[i, j], neg[mul[mul[s, s], _inv4_idx(spec)]]]
+    ``quadratic_character(f_discriminant(i, j, k))``.
+
+    f = ij - t^2/4 at t = i + j - k: ij comes from the exp/log tables, and
+    -t^2/4 from one (q,) table, so the full broadcast shape takes two
+    gathers from ``add``, read flat at a * q + b, and never builds ``mul``."""
+    q = spec.q
+    add = spec.add_table().ravel()
+    neg = spec.neg_table()
+    r = np.arange(q)
+    neg_quarter_square = neg[spec.mul(spec.mul(r, r), _inv4_idx(spec.p))]  # -t^2/4 at t
+    t = add.take(add.take(i * q + j) * q + neg[k])
+    f = add.take(spec.mul(i, j) * q + neg_quarter_square.take(t))
     # chi_table is int8; callers scale the character by q +- 1
-    return spec.chi_table()[f].astype(np.int64)
+    return spec.chi_table().astype(np.int64).take(f)
 
 
 def predicted_intersection_table(params: ConicParams, ks: np.ndarray | None = None) -> np.ndarray:
@@ -414,7 +428,7 @@ def verify_intersection_trichotomy(params: ConicParams, sample_centers: int = 20
             mismatches.append(broken)
         else:
             # one D of each pair {D, -D}, the one with the smaller point id
-            neg = params.spec.mul_table()[params.spec.p - 1]  # multiplication by -1
+            neg = params.spec.neg_table()
             half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
             # the kept D in blocks of q grid rows, the points (x1, .)
             for ds in np.split(half, np.searchsorted(half, np.arange(q, n_pts, q))):

@@ -7,19 +7,32 @@ vectors with the highest-degree coefficient most significant, which is the
 total order used everywhere determinism matters (CSV dumps, smallest square
 roots, worst-initial-state scans).
 
-Every field, prime or not, computes through q-by-q ``add``/``mul`` lookup
-tables built once per :class:`FieldSpec` on first use.  ``add`` is the
-residue sum mod p at d = 1 and is extended one base-p digit at a time.
-``mul`` is read from the exponent and discrete-logarithm tables of a
-primitive element g, mul[a, b] = exp[log a + log b] (Lidl and Niederreiter,
-*Finite Fields*, 1997): g is the first candidate, from x upward (from 2 at
-d = 1), none of whose powers g^1, ..., g^(q-2) is 1.  The powers come by
-doubling through the d-by-d matrix of multiplication by g over GF(p).  A
-prime field is the d = 1 case, with modulus x.  Powers are one lookup:
-three-argument ``pow`` at d = 1, exp[n log i mod (q - 1)] above.
+Every field, prime or not, computes from O(q) tables of a primitive element
+g (Lidl and Niederreiter, *Finite Fields*, 1997): exp[k] = g^k and its
+discrete logarithm, so a product is exp[log a + log b] and a power one
+lookup, exp[n log i mod (q - 1)] (three-argument ``pow`` at d = 1).  g is
+the first candidate, from x upward (from 2 at d = 1), of order q - 1: the
+order test checks g^((q-1)/r) != 1 for each prime r dividing q - 1, by
+square-and-multiply on coefficient vectors.  The exp table of that one g
+comes by doubling through the d-by-d matrix of multiplication by g over
+GF(p), or, at d = 1, one residue product per power.  A prime field is the
+d = 1 case, with modulus x.  The quadratic character and the smaller square
+root come from the even powers of g, the negation map from the product with
+-1, whose index is p - 1.
+
+The q-by-q ``add`` and ``mul`` tables are built apart, each on its first
+use: ``add`` is the residue sum mod p at d = 1, extended one base-p digit at
+a time, and ``mul`` is read from exp/log.  The scalar ``FieldElement``
+addition and the closed-form discriminant read ``add``; ``mul`` serves the
+enumeration oracle, the trichotomy's quadrance grid and the table digests
+only.  Inside :meth:`FieldSpec.interned`, ``FieldElement`` arithmetic
+returns one shared element per index instead of a new object.
 """
 
 from __future__ import annotations
+
+import contextlib
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +108,51 @@ def _powers(mat: np.ndarray, p: int, count: int) -> np.ndarray:
     return vecs
 
 
+def _is_generator(g: int, cofactors: list[int], p: int, modulus: tuple[int, ...]) -> bool:
+    """Whether no g^n is 1 over the cofactors n = (q - 1)/r, for g the element
+    of index g: square-and-multiply on digit lists, each product reduced
+    top-down by the monic modulus, one run of squarings for every n."""
+    d = len(modulus) - 1
+    if d == 1:
+        return all(pow(g, n, p) != 1 for n in cofactors)  # an index is its residue
+    low = modulus[:d]
+
+    def mulmod(u, v):
+        prod = [0] * (2 * d - 1)
+        for s, us in enumerate(u):
+            for t, vt in enumerate(v):
+                prod[s + t] += us * vt
+        for deg in range(2 * d - 2, d - 1, -1):
+            c = prod[deg]
+            for i, m in enumerate(low):
+                prod[deg - d + i] -= c * m
+        return [c % p for c in prod[:d]]
+
+    one = [1] + [0] * (d - 1)
+    squares = [_digits(g, p, d)]  # g^(2^b)
+    while len(squares) < max(cofactors).bit_length():
+        squares.append(mulmod(squares[-1], squares[-1]))
+    for n in cofactors:
+        acc = one
+        for b, square in enumerate(squares):
+            if n >> b & 1:
+                acc = mulmod(acc, square)
+        if acc == one:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
 class FieldSpec:
     """Immutable description of GF(p^d) plus cached arithmetic tables.
 
@@ -108,10 +166,15 @@ class FieldSpec:
         self.modulus = modulus
         self._add_np: np.ndarray | None = None
         self._mul_np: np.ndarray | None = None
-        self._exp_np: np.ndarray | None = None  # exp[k] = g^k, k < q - 1
-        self._log_np: np.ndarray | None = None  # log[exp[k]] = k; log[0] = 2(q - 1)
+        # the O(q) core: exp[k] = g^k for k < 2(q - 1), 0 from 2(q - 1) to 4(q - 1);
+        # log[exp[k]] = k for k < q - 1 and log[0] = 2(q - 1), so a zero factor
+        # lands past both copies of the powers, on 0
+        self._exp_np: np.ndarray | None = None
+        self._log_np: np.ndarray | None = None
+        self._neg_np: np.ndarray | None = None
         self._chi_np: np.ndarray | None = None
         self._sqrt_np: np.ndarray | None = None
+        self._interned: tuple[FieldElement, ...] | None = None  # see interned()
 
     # -- identity ----------------------------------------------------------
 
@@ -162,19 +225,46 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
+    @contextlib.contextmanager
+    def interned(self):
+        """Within the block, arithmetic returns one shared element per index
+        instead of building a new one per operation.  The spec holds the
+        shared elements only for the block: they refer to the spec, and that
+        cycle would keep its (q, q) tables alive until a full garbage collection."""
+        outer = self._interned
+        if outer is None:
+            self._interned = tuple(FieldElement(self, i) for i in range(self.q))
+        try:
+            yield
+        finally:
+            self._interned = outer
+
+    def _element_at(self, idx: int) -> "FieldElement":
+        els = self._interned
+        return FieldElement(self, idx) if els is None else els[idx]
+
     def elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, i) for i in range(self.q)]
+        """Every element in index order, as a new list."""
+        els = self._interned
+        return [FieldElement(self, i) for i in range(self.q)] if els is None else list(els)
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         return tuple(_digits(idx, self.p, self.d))
 
     # -- scalar index arithmetic ---------------------------------------------
 
+    @cached_property
+    def _scalar(self) -> tuple[list[int], list[int], list[int]]:
+        """The exp, log and negation tables as lists, for one-element lookups."""
+        log = self._logs()
+        return self._exp_np.tolist(), log.tolist(), self.neg_table().tolist()
+
     def neg_idx(self, i: int) -> int:
-        return self.mul_table().item(self.p - 1, i)  # p - 1 is the index of -1
+        return self._scalar[2][i]
 
     def mul_idx(self, i: int, j: int) -> int:
-        return self.mul_table().item(i, j)
+        exp, log, _ = self._scalar
+        return exp[log[i] + log[j]]
 
     def pow_idx(self, i: int, n: int) -> int:
         if n < 0:
@@ -183,8 +273,8 @@ class FieldSpec:
             return pow(int(i), n, self.p)
         if i == 0:
             return int(n == 0)
-        self.mul_table()  # the exp/log tables are built with it
-        return self._exp_np.item(self._log_np.item(i) * n % (self.q - 1))
+        exp, log, _ = self._scalar
+        return exp[log[i] * n % (self.q - 1)]
 
     def inv_idx(self, i: int) -> int:
         if i == 0:
@@ -192,24 +282,26 @@ class FieldSpec:
         return self.pow_idx(i, self.q - 2)
 
     def chi_idx(self, i: int) -> int:
-        """Quadratic character from the cached square-enumeration table."""
+        """Quadratic character from the cached table of the even powers of g."""
         return self.chi_table().item(i)
 
     def sqrt_idx(self, i: int) -> int | None:
         r = self.sqrt_table().item(i)
         return None if r < 0 else r
 
-    # -- cached tables --------------------------------------------------------
+    # -- the O(q) core ----------------------------------------------------------
 
-    def add_table(self) -> np.ndarray:
-        if self._add_np is None:
-            self._build_tables()
-        return self._add_np
+    def mul(self, i, j) -> np.ndarray:
+        """Products of broadcast arrays of element indices, from exp/log: no
+        (q, q) table."""
+        log = self._logs()
+        return self._exp_np[log[i] + log[j]]
 
-    def mul_table(self) -> np.ndarray:
-        if self._mul_np is None:
-            self._build_tables()
-        return self._mul_np
+    def neg_table(self) -> np.ndarray:
+        """(q,) int64: the index of -x at x."""
+        if self._neg_np is None:
+            self._neg_np = self.mul(self.p - 1, np.arange(self.q))  # -1 has index p - 1
+        return self._neg_np
 
     def _times_matrix(self, g: int) -> np.ndarray:
         """The d-by-d matrix over GF(p) of multiplication by g: column j holds
@@ -220,34 +312,55 @@ class FieldSpec:
             cols.append([(c - v[-1] * m) % self.p for c, m in zip([0] + v[:-1], self.modulus)])
         return np.array(cols, dtype=np.int64).T
 
-    def _build_tables(self) -> None:
-        """Both (q, q) int64 tables: ``add`` digit by digit, ``mul`` from the
-        exp/log tables of a primitive element (see the module docstring)."""
-        p, d, q = self.p, self.d, self.q
-        r = np.arange(p, dtype=np.int64)
-        # the residue sum: row a is r rotated left by a
-        base = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), p)[:p]
-        # index a = p * a_hi + a_0: add = p * add[a_hi, b_hi] + base[a_0, b_0]
-        add = base.copy()
-        for _ in range(d - 1):
-            m = len(add)
-            add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(m * p, m * p)
-        self._add_np = add
+    def _logs(self) -> np.ndarray:
+        """The log table, building exp/log on first use (see the module docstring)."""
+        if self._log_np is None:
+            p, d, q = self.p, self.d, self.q
+            cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+            # the first g of order q - 1, from x upward: the prime subfield holds
+            # no generator of a proper extension
+            g = next(g for g in range(p if d > 1 else 2, q)
+                     if _is_generator(g, cofactors, p, self.modulus))
+            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+            if d == 1:  # an index is its residue: one product per power
+                powers = [1]
+                for _ in range(q - 2):
+                    powers.append(powers[-1] * g % p)
+                exp[:q - 1] = powers
+            else:
+                exp[:q - 1] = p ** np.arange(d, dtype=np.int64) @ _powers(
+                    self._times_matrix(g), p, q - 1)
+            exp[q - 1:2 * (q - 1)] = exp[:q - 1]
+            log = np.empty(q, dtype=np.int64)
+            log[exp[:q - 1]] = np.arange(q - 1)
+            log[0] = 2 * (q - 1)
+            self._exp_np, self._log_np = exp, log
+        return self._log_np
 
-        weights = p ** np.arange(d, dtype=np.int64)
-        # the first g of order q - 1, from x upward: the prime subfield holds
-        # no generator of a proper extension
-        for g in range(p if d > 1 else 2, q):
-            exp = weights @ _powers(self._times_matrix(g), p, q - 1)
-            if not (exp[1:] == 1).any():
-                break
-        log = np.empty(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        log[0] = 2 * (q - 1)  # a zero factor lands past both copies of exp, on 0
-        ext = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-        ext[:q - 1] = ext[q - 1:2 * (q - 1)] = exp
-        self._exp_np, self._log_np = exp, log
-        self._mul_np = ext.take(log[:, None] + log)
+    # -- cached (q, q) tables ---------------------------------------------------
+
+    def add_table(self) -> np.ndarray:
+        """(q, q) int64 sums, the residue sum extended digit by digit."""
+        if self._add_np is None:
+            p = self.p
+            r = np.arange(p, dtype=np.int64)
+            # the residue sum: row a is r rotated left by a, the window at a of r, r
+            rr = np.concatenate([r, r])
+            base = np.lib.stride_tricks.as_strided(rr, (p, p), rr.strides * 2)
+            # index a = p * a_hi + a_0: add = p * add[a_hi, b_hi] + base[a_0, b_0]
+            add = base.copy()
+            for _ in range(self.d - 1):
+                m = len(add)
+                add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(m * p, m * p)
+            self._add_np = add
+        return self._add_np
+
+    def mul_table(self) -> np.ndarray:
+        """(q, q) int64 products, read from exp/log."""
+        if self._mul_np is None:
+            log = self._logs()
+            self._mul_np = self._exp_np.take(log[:, None] + log)
+        return self._mul_np
 
     def chi_table(self) -> np.ndarray:
         if self._chi_np is None:
@@ -260,15 +373,17 @@ class FieldSpec:
         return self._sqrt_np
 
     def _build_square_tables(self) -> None:
-        v = np.arange(1, self.q)
-        # np.unique reports each square's first, i.e. smaller, root
-        squares, first = np.unique(self.mul_table()[v, v], return_index=True)
-        chi = np.full(self.q, -1, dtype=np.int8)
-        root = np.full(self.q, -1, dtype=np.int64)
+        """The squares are the even powers g^(2k), k < (q - 1)/2, with the
+        roots g^k and -g^k = g^(k + (q - 1)/2); the smaller one is kept."""
+        self._logs()
+        q, half = self.q, (self.q - 1) // 2
+        exp = self._exp_np
+        chi = np.full(q, -1, dtype=np.int8)
+        root = np.full(q, -1, dtype=np.int64)
         chi[0] = 0
         root[0] = 0
-        chi[squares] = 1
-        root[squares] = v[first]
+        chi[exp[:q - 1:2]] = 1
+        root[exp[:q - 1:2]] = np.minimum(exp[:half], exp[half:q - 1])
         self._chi_np = chi
         self._sqrt_np = root
 
@@ -297,34 +412,45 @@ class FieldElement:
             raise FieldMismatch(f"mixing elements of {self.spec!r} and {other.spec!r}")
         return other
 
-    # the arithmetic tests spec identity inline before falling back to _check
+    # the hot arithmetic tests spec identity inline before falling back to
+    # _check, reads a built table without the call, and inlines _element_at:
+    # inside FieldSpec.interned() it returns the spec's shared elements
 
     def __add__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        return FieldElement(spec, spec.add_table().item(self.idx, other.idx))
+        add = spec._add_np
+        idx = (spec.add_table() if add is None else add).item(self.idx, other.idx)
+        els = spec._interned
+        return FieldElement(spec, idx) if els is None else els[idx]
 
     def __sub__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        return FieldElement(spec, spec.add_table().item(self.idx, spec.neg_idx(other.idx)))
+        add = spec._add_np
+        idx = (spec.add_table() if add is None else add).item(self.idx, spec._scalar[2][other.idx])
+        els = spec._interned
+        return FieldElement(spec, idx) if els is None else els[idx]
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_idx(self.idx))
+        return self.spec._element_at(self.spec.neg_idx(self.idx))
 
     def __mul__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        return FieldElement(spec, spec.mul_table().item(self.idx, other.idx))
+        exp, log, _ = spec._scalar
+        idx = exp[log[self.idx] + log[other.idx]]
+        els = spec._interned
+        return FieldElement(spec, idx) if els is None else els[idx]
 
     def __pow__(self, n: int):
-        return FieldElement(self.spec, self.spec.pow_idx(self.idx, n))
+        return self.spec._element_at(self.spec.pow_idx(self.idx, n))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_idx(self.idx))
+        return self.spec._element_at(self.spec.inv_idx(self.idx))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -334,6 +460,8 @@ class FieldElement:
         return self.idx != 0
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.spec == other.spec and self.idx == other.idx
@@ -399,8 +527,9 @@ def quadratic_character(x: FieldElement) -> int:
     """1 on nonzero squares, -1 on non-squares, 0 at 0.
 
     Euler's criterion: x^((q-1)/2), one lookup, compared against 1 and -1.
-    The cached table in :meth:`FieldSpec.chi_idx` is the square-enumeration
-    route, and the two must agree (property-tested).
+    The other route is the cached table of :meth:`FieldSpec.chi_idx`, which
+    marks the even powers g^(2k) of the primitive element as the squares.
+    The two must agree on every element (tested at every field q <= 1024).
     """
     spec = x.spec
     if x.idx == 0:
@@ -408,13 +537,13 @@ def quadratic_character(x: FieldElement) -> int:
     r = spec.pow_idx(x.idx, (spec.q - 1) // 2)
     if r == 1:
         return 1
-    if r == spec.neg_idx(1):
+    if r == spec.p - 1:  # the index of -1
         return -1
     raise RuntimeError(f"character of {x!r} is not 0, 1 or -1")  # unreachable
 
 
 def sqrt(x: FieldElement) -> FieldElement | None:
     """The smaller square root of x in canonical order, or None for non-squares,
-    from the cached square-enumeration table."""
+    from the cached table of the even powers of the primitive element."""
     r = x.spec.sqrt_idx(x.idx)
-    return None if r is None else FieldElement(x.spec, r)
+    return None if r is None else x.spec._element_at(r)

@@ -67,16 +67,18 @@ class Kernel:
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.step_size = int(self.sizes[self.position(step)])
         counts = np.asarray(counts, dtype=np.int64)
+        col = self.sizes[:, None]
         # a float quotient of integers below 2^53 is exact when the division is
-        self.step_counts = (counts / self.sizes[:, None]).astype(np.int64)
-        bad = np.flatnonzero((self.step_counts * self.sizes[:, None] != counts).any(axis=1))
-        if bad.size:
-            raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
-                             f"{self.sizes[bad[0]]}")
+        self.step_counts = (counts / col).astype(np.int64)
+        wrong = self.step_counts * col != counts
+        if wrong.any():
+            t = int(wrong.any(axis=1).argmax())
+            raise ValueError(f"kernel row {t} is not divisible by its class size "
+                             f"{self.sizes[t]}")
         sums = self.step_counts.sum(axis=1)
-        bad = np.flatnonzero(sums != self.step_size)
-        if bad.size:
-            t = bad[0]
+        wrong = sums != self.step_size
+        if wrong.any():
+            t = int(wrong.argmax())
             raise ValueError(f"kernel row {t} sums to "
                              f"{Fraction(int(sums[t]), self.step_size)} != 1")
         # int64 / int is one correctly rounded division: equals float(Fraction)
@@ -150,9 +152,11 @@ class Distribution:
             raise ValueError("probability vector has wrong length")
         if self.probs.min() < -1e-15 or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValueError("not a probability vector")
-        den = math.lcm(*(v.denominator for v in self.exact or ()))  # one common denominator
-        if self.exact and sum(v.numerator * (den // v.denominator) for v in self.exact) != den:
-            raise ValueError("exact probabilities do not sum to 1")
+        if self.exact:
+            ratios = [v.as_integer_ratio() for v in self.exact]
+            den = math.lcm(*{d for _, d in ratios})  # one common denominator
+            if sum([n * (den // d) for n, d in ratios]) != den:
+                raise ValueError("exact probabilities do not sum to 1")
 
     @classmethod
     def point_mass(cls, classes: list[ClassIndex], at: ClassIndex) -> "Distribution":
@@ -193,17 +197,19 @@ def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
     memory, never the q^3 table."""
     if s is None:
         s = ClassIndex.finite(params.spec.one)
-    classes = index_set(params)
-    if s not in classes:
-        raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
-    counts = closed_row(params, classes, s)
-    if not (s.is_zero or s.is_isotropic):
-        # certify the vectorised closed form against the scalar trichotomy on the
-        # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
-        v, row = s.value, counts[classes.index(s), 1:params.q]
-        meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
-        if not np.array_equal(row, class_size(s, params) * np.array(meets)):
-            raise InternalCheckError(f"closed form disagrees with the trichotomy on row {s!r}")
+    with params.spec.interned():  # one element per index, for the classes and the row
+        classes = index_set(params)
+        if s not in classes:
+            raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
+        counts = closed_row(params, classes, s)
+        if not (s.is_zero or s.is_isotropic):
+            # certify the vectorised closed form against the scalar trichotomy on the
+            # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
+            v, row = s.value, counts[classes.index(s), 1:params.q]
+            meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
+            if not np.array_equal(row, class_size(s, params) * np.array(meets)):
+                raise InternalCheckError(
+                    f"closed form disagrees with the trichotomy on row {s!r}")
     return Kernel(params, classes, s, counts, class_sizes(params))
 
 
@@ -237,9 +243,10 @@ def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribu
 def _size_law(classes: list[ClassIndex], sizes: np.ndarray) -> Distribution:
     """The law proportional to the class sizes, exact and float."""
     total = int(sizes.sum())
-    exact = {n: Fraction(n, total) for n in set(sizes.tolist())}  # a few distinct sizes
+    ns = sizes.tolist()
+    exact = {n: Fraction(n, total) for n in set(ns)}  # a few distinct sizes
     # int64 / int is one correctly rounded division: equals float(Fraction)
-    return Distribution(classes, sizes / total, [exact[n] for n in sizes.tolist()])
+    return Distribution(classes, sizes / total, [exact[n] for n in ns])
 
 
 def haar(params: ConicParams) -> Distribution:

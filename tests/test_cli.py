@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -558,13 +559,22 @@ def test_unwritable_output_exits_1_before_any_computation(args, tmp_path, monkey
     assert r.stderr == f"error: cannot write {out}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("args", [
-    ("constants", "--p", "7", "--verify-oracle", "--out", "t.csv", "--errata-out", "t.csv"),
-    ("constants", "--p", "7", "--verify-oracle", "--out", "./t.csv", "--errata-out", "t.csv"),
-    ("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "h.csv"),
-    ("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "./h.csv"),
-], ids=" ".join)
-def test_two_outputs_naming_one_file_exit_1_before_any_computation(args, tmp_path,
+# (argv, whether the second output is made a hard link to an existing first)
+ONE_FILE_CASES = [
+    (("constants", "--p", "7", "--verify-oracle", "--out", "t.csv", "--errata-out", "t.csv"),
+     False),
+    (("constants", "--p", "7", "--verify-oracle", "--out", "./t.csv", "--errata-out", "t.csv"),
+     False),
+    (("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "h.csv"), False),
+    (("couple", "--p", "7", "--trials", "10", "--out", "h.csv", "--hist-out", "./h.csv"), False),
+    (("constants", "--p", "7", "--verify-oracle", "--out", "t.csv", "--errata-out", "u.csv"),
+     True),
+]
+
+
+@pytest.mark.parametrize("args,linked", ONE_FILE_CASES,
+                         ids=[" ".join(args) for args, _ in ONE_FILE_CASES])
+def test_two_outputs_naming_one_file_exit_1_before_any_computation(args, linked, tmp_path,
                                                                     monkeypatch):
     from conicwalk import cli
 
@@ -574,11 +584,16 @@ def test_two_outputs_naming_one_file_exit_1_before_any_computation(args, tmp_pat
     for name in ("run_coupling_trials", "kernel_for_step", "build_table", "oracle_table"):
         monkeypatch.setattr(cli, name, computed)
     monkeypatch.chdir(tmp_path)
-    r = run_main(*args)
     first, second = args[-3], args[-1]
+    if linked:
+        (tmp_path / first).write_text("kept\n")
+        os.link(tmp_path / first, tmp_path / second)
+    r = run_main(*args)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == f"error: cannot write {second}: same file as {first}\n"
-    assert list(tmp_path.iterdir()) == []
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (sorted([first, second]) if linked else [])
+    assert all((tmp_path / name).read_text() == "kept\n" for name in left)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from conicwalk import (
     verify_intersection_trichotomy,
 )
 from conicwalk import conic_geometry
+from conicwalk.cli import admissible_prime_powers
 from conicwalk.errata import published_f_discriminant
 
 from conftest import TEST_FIELDS, seeded_weights, smallest_nonsquare, smallest_square_above_one
@@ -489,3 +490,27 @@ def test_point_serialization():
     p = ConicParams(f7, 1, 2)
     assert p.to_json() == {"field": {"p": 7, "d": 1, "modulus": [0, 1]},
                            "a": 1, "b": 2, "c": 3}
+
+
+def _four_gather_character(spec, i, j, k):
+    """The discriminant character as it was first vectorised: f = ij - s^2/4
+    at s = i + j - k, every product and sum a gather from the (q, q) tables."""
+    add, mul = spec.add_table(), spec.mul_table()
+    neg = mul[spec.p - 1]  # multiplication by -1, whose index is p - 1
+    s = add[add[i, j], neg[k]]
+    f = add[mul[i, j], neg[mul[mul[s, s], pow(4, -1, spec.p)]]]
+    return spec.chi_table()[f].astype(np.int64)
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for q, p, d in admissible_prime_powers(3, 1024)
+                                 if d > 1 or q >= 461])
+def test_discriminant_character_equals_the_four_gather_formula(p, d):
+    # the exp/log products and the (q,) table of -t^2/4 against the (q, q)
+    # add and mul tables, on a sampled (i, j, k) grid that includes 0
+    spec = make_field(p, d)
+    rng = np.random.default_rng(spec.q)
+    i, j, k = (np.concatenate([[0], rng.integers(0, spec.q, size=n)]) for n in (24, 24, 48))
+    grid = i[:, None, None], j[None, :, None], k[None, None, :]
+    got = conic_geometry.discriminant_character(spec, *grid)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _four_gather_character(spec, *grid))

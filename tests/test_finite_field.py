@@ -498,6 +498,45 @@ def test_tables_keep_their_bytes(p, d):
     assert digest.hexdigest() == TABLE_DIGESTS[(p, d)]
 
 
+def _candidate_loop_powers(spec):
+    """g^0, ..., g^(q-2) for the primitive element g as the exp/log tables
+    first chose it: the first candidate, from x upward (from 2 at d = 1),
+    none of whose powers g^1, ..., g^(q-2) is 1, one power table per candidate."""
+    from conicwalk.finite_field import _powers
+
+    p, d, q = spec.p, spec.d, spec.q
+    weights = p ** np.arange(d, dtype=np.int64)
+    for g in range(p if d > 1 else 2, q):
+        exp = weights @ _powers(spec._times_matrix(g), p, q - 1)
+        if not (exp[1:] == 1).any():
+            return exp
+
+
+def _square_enumeration(spec):
+    """(chi, sqrt) as they were first built: np.unique over the squares on
+    the diagonal of the mul table, each square's first root the smaller."""
+    v = np.arange(1, spec.q)
+    squares, first = np.unique(spec.mul_table()[v, v], return_index=True)
+    chi = np.full(spec.q, -1, dtype=np.int8)
+    root = np.full(spec.q, -1, dtype=np.int64)
+    chi[0] = root[0] = 0
+    chi[squares] = 1
+    root[squares] = v[first]
+    return chi, root
+
+
+@pytest.mark.parametrize("p,d", list(TABLE_DIGESTS))
+def test_core_routes_equal_the_earlier_routes(p, d):
+    # the order test over the prime factors of q - 1 picks the generator the
+    # candidate loop picked, and the even powers of g give the squares
+    spec = make_field(p, d)
+    chi, root = _square_enumeration(spec)  # mul_table() builds the exp/log core
+    assert np.array_equal(spec._exp_np[:spec.q - 1], _candidate_loop_powers(spec))
+    assert np.array_equal(spec.chi_table(), chi)
+    assert np.array_equal(spec.sqrt_table(), root)
+    assert np.array_equal(spec.neg_table(), spec.mul_table()[p - 1])
+
+
 @pytest.mark.parametrize("p,d", SMALL_FIELDS)
 def test_pow_idx_is_repeated_multiplication(p, d):
     spec = make_field(p, d)

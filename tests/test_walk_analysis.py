@@ -619,3 +619,31 @@ def test_distribution_validation(k7):
         Distribution(k7.classes, [0.5] * 7)
     with pytest.raises(ValueError):
         Distribution(k7.classes, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (127, 1)])
+def test_certification_row_catches_a_wrong_closed_form(p, d, monkeypatch):
+    # one entry of the step's own row flipped between 0 and 2 N_s, the counts
+    # of circles that miss and that cross: the scalar trichotomy must disagree
+    from conicwalk import InternalCheckError, class_size, walk_analysis
+
+    closed_row = walk_analysis.closed_row
+
+    def flipped(params, rows, cj, *args):
+        out = closed_row(params, rows, cj, *args)
+        row, size = out[rows.index(cj)], class_size(cj, params)
+        col = next(c for c in range(1, params.q) if row[c] != size)
+        row[col] = 2 * size - row[col]
+        return out
+
+    params = ConicParams(make_field(p, d), 1, 1)
+    monkeypatch.setattr(walk_analysis, "closed_row", flipped)
+    with pytest.raises(InternalCheckError):
+        kernel_for_step(params)
+
+
+@pytest.mark.parametrize("p,d", [(127, 1), (5, 3)])
+def test_mixing_report_builds_no_mul_table(p, d):
+    params = ConicParams(make_field(p, d), 1, 1)
+    mixing_report(params)
+    assert params.spec._mul_np is None
