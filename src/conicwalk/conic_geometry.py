@@ -180,7 +180,7 @@ def classify(p: Point, params: ConicParams, split: bool = True) -> ClassIndex:
     return ClassIndex.finite(v)
 
 
-def class_positions(classes: list[ClassIndex], q: int) -> np.ndarray:
+def _class_positions(classes: list[ClassIndex], q: int) -> np.ndarray:
     """Each class's position in ``index_set``, as int64: the index of its
     value, q for the isotropic class."""
     return np.array([q if c._val is None else c._val.idx for c in classes], dtype=np.int64)

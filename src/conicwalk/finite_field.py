@@ -295,7 +295,7 @@ class FieldSpec:
         """Products of broadcast arrays of element indices, from exp/log: no
         (q, q) table."""
         log = self._logs()
-        return self._exp_np[log[i] + log[j]]
+        return self._exp_np.take(log[i] + log[j])
 
     def neg_table(self) -> np.ndarray:
         """(q,) int64: the index of -x at x."""
@@ -358,8 +358,8 @@ class FieldSpec:
     def mul_table(self) -> np.ndarray:
         """(q, q) int64 products, read from exp/log."""
         if self._mul_np is None:
-            log = self._logs()
-            self._mul_np = self._exp_np.take(log[:, None] + log)
+            r = np.arange(self.q)
+            self._mul_np = self.mul(r[:, None], r)
         return self._mul_np
 
     def chi_table(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from .conic_geometry import (
     ClassIndex,
     ConicParams,
     ORACLE_CAP,
-    class_positions,
+    _class_positions,
     class_size,
     class_sizes,
     discriminant_character,
@@ -286,7 +286,7 @@ def closed_row(
     One character call covers the (ci, k) grid of the finite nonzero rows;
     the zero and isotropic rows and columns are set by index."""
     q, r = params.q, np.arange(len(rows))
-    pos = class_positions(rows, q)
+    pos = _class_positions(rows, q)
     out = np.zeros((len(rows), q + params.split), dtype=np.int64)
     if cj.is_zero:
         # n[ci, 0, k] = delta(ci, k)
