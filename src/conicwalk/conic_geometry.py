@@ -10,7 +10,6 @@ axioms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -224,11 +223,9 @@ def circle_points(i: ClassIndex, params: ConicParams, cap: int = ORACLE_CAP) -> 
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _inv4_idx(p: int) -> int:
-    """Index of 1/4 in characteristic p: it lies in the prime subfield, where
-    an index is its residue."""
-    return pow(4, -1, p)
+def _inv4_idx(spec: FieldSpec) -> int:
+    """Index of 1/4, which lies in the prime subfield, where an index is its residue."""
+    return pow(4, -1, spec.p)
 
 
 def f_discriminant(i: FieldElement, j: FieldElement, k: FieldElement) -> FieldElement:
@@ -239,7 +236,7 @@ def f_discriminant(i: FieldElement, j: FieldElement, k: FieldElement) -> FieldEl
     """
     spec = i.spec
     s = i + j - k
-    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec.p))
+    return i * j - (s * s) * FieldElement(spec, _inv4_idx(spec))
 
 
 def intersection_count(
@@ -320,7 +317,7 @@ def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
     add = spec.add_table().ravel()
     neg = spec.neg_table()
     r = np.arange(q)
-    neg_quarter_square = neg[spec.mul(spec.mul(r, r), _inv4_idx(spec.p))]  # -t^2/4 at t
+    neg_quarter_square = neg[spec.mul(spec.mul(r, r), _inv4_idx(spec))]  # -t^2/4 at t
     t = add.take(add.take(i * q + j) * q + neg[k])
     f = add.take(spec.mul(i, j) * q + neg_quarter_square.take(t))
     # chi_table is int8; callers scale the character by q +- 1

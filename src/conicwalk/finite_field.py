@@ -11,14 +11,13 @@ Every field, prime or not, computes from O(q) tables of a primitive element
 g (Lidl and Niederreiter, *Finite Fields*, 1997): exp[k] = g^k and its
 discrete logarithm, so a product is exp[log a + log b] and a power one
 lookup, exp[n log i mod (q - 1)] (three-argument ``pow`` at d = 1).  g is
-the first candidate, from x upward (from 2 at d = 1), of order q - 1: the
-order test checks g^((q-1)/r) != 1 for each prime r dividing q - 1, by
-square-and-multiply on coefficient vectors.  The exp table of that one g
-comes by doubling through the d-by-d matrix of multiplication by g over
-GF(p), or, at d = 1, one residue product per power.  A prime field is the
-d = 1 case, with modulus x.  The quadratic character and the smaller square
-root come from the even powers of g, the negation map from the product with
--1, whose index is p - 1.
+the first candidate, from x upward (from 2 at d = 1), of order q - 1.  At
+d = 1 the order test checks g^((q-1)/r) != 1 for each prime r dividing
+q - 1; above, each candidate's powers are checked for a 1 before g^(q-1).
+The powers come by doubling through the d-by-d matrix of multiplication by
+g over GF(p).  A prime field is the d = 1 case, with modulus x.  The
+quadratic character and the smaller square root come from the even powers
+of g, the negation map from the product with -1, whose index is p - 1.
 
 The q-by-q ``add`` and ``mul`` tables are built apart, each on its first
 use: ``add`` is the residue sum mod p at d = 1, extended one base-p digit at
@@ -108,40 +107,6 @@ def _powers(mat: np.ndarray, p: int, count: int) -> np.ndarray:
     return vecs
 
 
-def _is_generator(g: int, cofactors: list[int], p: int, modulus: tuple[int, ...]) -> bool:
-    """Whether no g^n is 1 over the cofactors n = (q - 1)/r, for g the element
-    of index g: square-and-multiply on digit lists, each product reduced
-    top-down by the monic modulus, one run of squarings for every n."""
-    d = len(modulus) - 1
-    if d == 1:
-        return all(pow(g, n, p) != 1 for n in cofactors)  # an index is its residue
-    low = modulus[:d]
-
-    def mulmod(u, v):
-        prod = [0] * (2 * d - 1)
-        for s, us in enumerate(u):
-            for t, vt in enumerate(v):
-                prod[s + t] += us * vt
-        for deg in range(2 * d - 2, d - 1, -1):
-            c = prod[deg]
-            for i, m in enumerate(low):
-                prod[deg - d + i] -= c * m
-        return [c % p for c in prod[:d]]
-
-    one = [1] + [0] * (d - 1)
-    squares = [_digits(g, p, d)]  # g^(2^b)
-    while len(squares) < max(cofactors).bit_length():
-        squares.append(mulmod(squares[-1], squares[-1]))
-    for n in cofactors:
-        acc = one
-        for b, square in enumerate(squares):
-            if n >> b & 1:
-                acc = mulmod(acc, square)
-        if acc == one:
-            return False
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out, f = [], 2
     while f * f <= n:
@@ -175,6 +140,7 @@ class FieldSpec:
         self._chi_np: np.ndarray | None = None
         self._sqrt_np: np.ndarray | None = None
         self._interned: tuple[FieldElement, ...] | None = None  # see interned()
+        self._interned_depth = 0
 
     # -- identity ----------------------------------------------------------
 
@@ -228,25 +194,28 @@ class FieldSpec:
     @contextlib.contextmanager
     def interned(self):
         """Within the block, arithmetic returns one shared element per index
-        instead of building a new one per operation.  The spec holds the
-        shared elements only for the block: they refer to the spec, and that
-        cycle would keep its (q, q) tables alive until a full garbage collection."""
-        outer = self._interned
-        if outer is None:
+        instead of building a new one per operation.  The shared elements
+        refer to the spec, so the spec holds them only while a block is open:
+        held for its whole life, that cycle would keep its (q, q) tables alive
+        until a full garbage collection.  Blocks nest, and the elements go
+        when the last one closes.  Not for a spec shared by threads while a
+        block is open."""
+        if not self._interned_depth:
             self._interned = tuple(FieldElement(self, i) for i in range(self.q))
+        self._interned_depth += 1
         try:
             yield
         finally:
-            self._interned = outer
+            self._interned_depth -= 1
+            if not self._interned_depth:
+                self._interned = None
 
     def _element_at(self, idx: int) -> "FieldElement":
         els = self._interned
         return FieldElement(self, idx) if els is None else els[idx]
 
     def elements(self) -> list["FieldElement"]:
-        """Every element in index order, as a new list."""
-        els = self._interned
-        return [FieldElement(self, i) for i in range(self.q)] if els is None else list(els)
+        return [FieldElement(self, i) for i in range(self.q)]
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         return tuple(_digits(idx, self.p, self.d))
@@ -316,20 +285,20 @@ class FieldSpec:
         """The log table, building exp/log on first use (see the module docstring)."""
         if self._log_np is None:
             p, d, q = self.p, self.d, self.q
-            cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
-            # the first g of order q - 1, from x upward: the prime subfield holds
-            # no generator of a proper extension
-            g = next(g for g in range(p if d > 1 else 2, q)
-                     if _is_generator(g, cofactors, p, self.modulus))
-            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-            if d == 1:  # an index is its residue: one product per power
-                powers = [1]
-                for _ in range(q - 2):
-                    powers.append(powers[-1] * g % p)
-                exp[:q - 1] = powers
+            weights = p ** np.arange(d, dtype=np.int64)
+            if d == 1:  # an index is its residue: g^((q-1)/r) != 1 for each prime r
+                cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+                g = next(g for g in range(2, q) if all(pow(g, n, p) != 1 for n in cofactors))
+                powers = weights @ _powers(self._times_matrix(g), p, q - 1)
             else:
-                exp[:q - 1] = p ** np.arange(d, dtype=np.int64) @ _powers(
-                    self._times_matrix(g), p, q - 1)
+                # the first g of order q - 1, from x upward: the prime subfield
+                # holds no generator of a proper extension
+                for g in range(p, q):
+                    powers = weights @ _powers(self._times_matrix(g), p, q - 1)
+                    if not (powers[1:] == 1).any():
+                        break
+            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+            exp[:q - 1] = powers
             exp[q - 1:2 * (q - 1)] = exp[:q - 1]
             log = np.empty(q, dtype=np.int64)
             log[exp[:q - 1]] = np.arange(q - 1)
@@ -344,9 +313,8 @@ class FieldSpec:
         if self._add_np is None:
             p = self.p
             r = np.arange(p, dtype=np.int64)
-            # the residue sum: row a is r rotated left by a, the window at a of r, r
-            rr = np.concatenate([r, r])
-            base = np.lib.stride_tricks.as_strided(rr, (p, p), rr.strides * 2)
+            # the residue sum: row a is r rotated left by a, 
+            base = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), p)[:p]
             # index a = p * a_hi + a_0: add = p * add[a_hi, b_hi] + base[a_0, b_0]
             add = base.copy()
             for _ in range(self.d - 1):
@@ -412,27 +380,20 @@ class FieldElement:
             raise FieldMismatch(f"mixing elements of {self.spec!r} and {other.spec!r}")
         return other
 
-    # the hot arithmetic tests spec identity inline before falling back to
-    # _check, reads a built table without the call, and inlines _element_at:
+    # the arithmetic tests spec identity inline before falling back to _check;
     # inside FieldSpec.interned() it returns the spec's shared elements
 
     def __add__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        add = spec._add_np
-        idx = (spec.add_table() if add is None else add).item(self.idx, other.idx)
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return spec._element_at(spec.add_table().item(self.idx, other.idx))
 
     def __sub__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        add = spec._add_np
-        idx = (spec.add_table() if add is None else add).item(self.idx, spec._scalar[2][other.idx])
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return spec._element_at(spec.add_table().item(self.idx, spec.neg_idx(other.idx)))
 
     def __neg__(self):
         return self.spec._element_at(self.spec.neg_idx(self.idx))
@@ -441,10 +402,7 @@ class FieldElement:
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
-        exp, log, _ = spec._scalar
-        idx = exp[log[self.idx] + log[other.idx]]
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return spec._element_at(spec.mul_idx(self.idx, other.idx))
 
     def __pow__(self, n: int):
         return self.spec._element_at(self.spec.pow_idx(self.idx, n))

@@ -537,6 +537,38 @@ def test_core_routes_equal_the_earlier_routes(p, d):
     assert np.array_equal(spec.neg_table(), spec.mul_table()[p - 1])
 
 
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2)])
+def test_interned_blocks_share_elements_and_release_them(p, d):
+    spec = make_field(p, d)
+    a, b = spec.element(2), spec.element(3)
+    assert a + b == a + b and a + b is not a + b  # a new element per operation
+    with spec.interned():
+        with spec.interned():  # blocks nest
+            shared = a + b
+        ops = (a + b, a - b + b + b, -(-a - b), (a + b) * spec.one, (a + b) ** 1,
+               (a + b).inverse().inverse())
+        assert all(x is shared for x in ops)  # the inner block's close kept them
+        assert sqrt(shared * shared) is sqrt(shared ** 2)
+        els = spec.elements()
+        assert els == [spec.element(i) for i in range(spec.q)]
+        els[0] = None  # a new list: the shared elements are not handed out
+        assert spec.zero == spec.elements()[0]
+        with pytest.raises(RuntimeError):
+            with spec.interned():
+                raise RuntimeError
+        assert a + b is shared
+    assert spec._interned is None  # no spec -> element -> spec cycle is left
+    assert a + b == shared and a + b is not shared
+
+
+def test_kernel_for_step_leaves_no_interned_elements():
+    from conicwalk import ConicParams, kernel_for_step
+
+    spec = make_field(7)
+    kernel_for_step(ConicParams(spec, 1, 1))
+    assert spec._interned is None
+
+
 @pytest.mark.parametrize("p,d", SMALL_FIELDS)
 def test_pow_idx_is_repeated_multiplication(p, d):
     spec = make_field(p, d)
