@@ -179,12 +179,6 @@ def classify(p: Point, params: ConicParams, split: bool = True) -> ClassIndex:
     return ClassIndex.finite(v)
 
 
-def _class_positions(classes: list[ClassIndex], q: int) -> np.ndarray:
-    """Each class's position in ``index_set``, as int64: the index of its
-    value, q for the isotropic class."""
-    return np.array([q if c._val is None else c._val.idx for c in classes], dtype=np.int64)
-
-
 def class_size(i: ClassIndex, params: ConicParams) -> int:
     """Closed-form point count of a class; equals len(circle_points(i, params))."""
     q = params.q

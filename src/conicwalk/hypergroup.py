@@ -38,7 +38,6 @@ from .conic_geometry import (
     ClassIndex,
     ConicParams,
     ORACLE_CAP,
-    _class_positions,
     class_size,
     class_sizes,
     discriminant_character,
@@ -286,7 +285,7 @@ def closed_row(
     One character call covers the (ci, k) grid of the finite nonzero rows;
     the zero and isotropic rows and columns are set by index."""
     q, r = params.q, np.arange(len(rows))
-    pos = _class_positions(rows, q)
+    pos = np.array([q if c.is_isotropic else c.value.idx for c in rows], dtype=np.int64)
     out = np.zeros((len(rows), q + params.split), dtype=np.int64)
     if cj.is_zero:
         # n[ci, 0, k] = delta(ci, k)
@@ -299,9 +298,7 @@ def closed_row(
         # N = N_i = N_j the size of every nonzero finite class
         size = class_size(cj, params)
         chi = discriminant_character(params.spec, pos[fin, None], j, np.arange(q))
-        chi += 1
-        chi *= size
-        out[fin, :q] = chi
+        out[fin, :q] = (chi + 1) * size
         if params.split:
             # the null cone: the origin when i = j, else the isotropic class
             same = pos[fin] == j

@@ -67,18 +67,16 @@ class Kernel:
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.step_size = int(self.sizes[self.position(step)])
         counts = np.asarray(counts, dtype=np.int64)
-        col = self.sizes[:, None]
         # a float quotient of integers below 2^53 is exact when the division is
-        self.step_counts = (counts / col).astype(np.int64)
-        wrong = self.step_counts * col != counts
-        if wrong.any():
-            t = int(wrong.any(axis=1).argmax())
-            raise ValueError(f"kernel row {t} is not divisible by its class size "
-                             f"{self.sizes[t]}")
+        self.step_counts = (counts / self.sizes[:, None]).astype(np.int64)
+        bad = np.flatnonzero((self.step_counts * self.sizes[:, None] != counts).any(axis=1))
+        if bad.size:
+            raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
+                             f"{self.sizes[bad[0]]}")
         sums = self.step_counts.sum(axis=1)
-        wrong = sums != self.step_size
-        if wrong.any():
-            t = int(wrong.argmax())
+        bad = np.flatnonzero(sums != self.step_size)
+        if bad.size:
+            t = bad[0]
             raise ValueError(f"kernel row {t} sums to "
                              f"{Fraction(int(sums[t]), self.step_size)} != 1")
         # int64 / int is one correctly rounded division: equals float(Fraction)
@@ -243,10 +241,9 @@ def evolve(d0: Distribution, k: Kernel, n: int, exact: bool = False) -> Distribu
 def _size_law(classes: list[ClassIndex], sizes: np.ndarray) -> Distribution:
     """The law proportional to the class sizes, exact and float."""
     total = int(sizes.sum())
-    ns = sizes.tolist()
-    exact = {n: Fraction(n, total) for n in set(ns)}  # a few distinct sizes
+    exact = {n: Fraction(n, total) for n in set(sizes.tolist())}  # a few distinct sizes
     # int64 / int is one correctly rounded division: equals float(Fraction)
-    return Distribution(classes, sizes / total, [exact[n] for n in ns])
+    return Distribution(classes, sizes / total, [exact[n] for n in sizes.tolist()])
 
 
 def haar(params: ConicParams) -> Distribution:
