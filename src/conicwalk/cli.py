@@ -12,13 +12,14 @@ streams alias), --seed >= 0, --qmin/--qmax in [3, ARITHMETIC_CAP], --eps in
 [1e-12, 1].  The rules that depend on q (an odd prime power within the
 arithmetic cap, weights and class labels in range(q), an enumeration within
 the oracle cap) are the library's.  ``main`` turns every user-caused error
-into exit 1 with one ``error:`` line: an invalid flag, q above the
-arithmetic or oracle cap, a non-ergodic step class, an unwritable output
-path, or an input too large for the memory at hand.  Every command checks
-each output path it will write before any computation, and rejects two
-output paths that name one file (by ``os.path.realpath``, and by device and
-inode for files that exist, so hard links count), so exit 1 comes at once
-and leaves nothing behind.
+into exit 1 with one ``error:`` line: an invalid flag, two flags that
+exclude each other (constants' --verify-oracle and --diagnostic-unsplit),
+q above the arithmetic or oracle cap, a non-ergodic step class, an
+unwritable output path, or an input too large for the memory at hand.
+Every command checks each output path it will write before any
+computation, and rejects two output paths that name one file (by
+``os.path.realpath``, and by device and inode for files that exist, so hard
+links count), so exit 1 comes at once and leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def cli() -> None:
               help="enumeration cap; raising it can be very slow")
 def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata_out, cap):
     """Dump the structure-constant table; optionally verify it by enumeration."""
+    if verify_oracle and diagnostic_unsplit:
+        # the unsplit diagnostic writes no table, so there is none to verify
+        raise ConfigError("--verify-oracle and --diagnostic-unsplit exclude each other")
     cfg = RunConfig(command="constants", p=p, d=d, a=a, b=b, c=c, fmt=fmt, cap=cap,
                     extra={"verify_oracle": verify_oracle,
                            "diagnostic_unsplit": diagnostic_unsplit})
@@ -266,7 +270,7 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
     if runs_oracle and params.q > cap:
         raise ConfigError(f"q = {params.q} exceeds the oracle cap {cap}")
     errata_path = errata_out or (f"{out}.errata.json" if out else "errata.json")
-    _check_writable(out, errata_path if verify_oracle and not diagnostic_unsplit else None)
+    _check_writable(out, errata_path if verify_oracle else None)
     # after every input check, so that no error line follows the warning
     if runs_oracle and cap > ORACLE_CAP:
         _note(f"warning: enumeration cap raised to {cap}; O(q^4) oracle may be slow")

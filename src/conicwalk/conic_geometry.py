@@ -10,7 +10,6 @@ axioms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .finite_field import FieldElement, FieldSpec, quadratic_character, sqrt
 ORACLE_CAP = 125
 EXHAUSTIVE_CENTER_CAP = 31
 SAMPLE_SEED = 0  # seed of the sampled centre pairs above EXHAUSTIVE_CENTER_CAP
+SAMPLE_PAIRS = 200  # centre pairs drawn above EXHAUSTIVE_CENTER_CAP
 
 
 class ConicParams:
@@ -263,40 +263,35 @@ def intersection_points(
 # vectorised quadrance grid + exhaustive intersection verification
 # ---------------------------------------------------------------------------
 
-def _differences(spec: FieldSpec) -> np.ndarray:
-    """(q, q) table of element indices d[x, z] = z - x."""
-    return spec.add_table()[spec.neg_table()[:, None], np.arange(spec.q)[None, :]]
-
-
 def _coordinate_quadrances(params: ConicParams) -> tuple[np.ndarray, np.ndarray]:
     """The (q, q) per-coordinate tables qx[x, w] = a*(w - x)^2 and
     qy[y, w] = b*(w - y)^2; the quadrance between the points (x, y) and
     (w, z) is qx[x, w] + qy[y, z]."""
-    mul = params.spec.mul_table()
-    d = _differences(params.spec)
+    spec = params.spec
+    mul = spec.mul_table()
+    d = spec.add_table()[spec.neg_table()]  # d[x, w] = w - x
     sq = mul[d, d]
     return mul[params.a.idx][sq], mul[params.b.idx][sq]
 
 
-def quadrance_value_grid(params: ConicParams, rows: np.ndarray | None = None) -> np.ndarray:
-    """(q^2, q^2) int64 array: entry [u, w] is the quadrance value index
-    between the points with ids u = x*q + y and w.  With ``rows``, an array
-    of point ids, only those rows, in that order.
+def quadrance_value_grid(params: ConicParams, rows) -> np.ndarray:
+    """(len(rows), q^2) int64 array: entry [r, w] is the quadrance value
+    index between the points with ids rows[r] and w, where the point (x, y)
+    has id u = x*q + y.
 
     The quadrance is separable by coordinate, so every entry is one lookup
     add[qx[x_u, x_w], qy[y_u, y_w]] broadcast from the (q, q) tables of
-    ``_coordinate_quadrances``."""
+    ``_coordinate_quadrances``, read flat at qx * q + qy."""
     q = params.q
     qx, qy = _coordinate_quadrances(params)
-    xu, yu = np.divmod(np.arange(q * q) if rows is None else np.asarray(rows), q)
-    grid = params.spec.add_table()[qx[xu][:, :, None], qy[yu][:, None, :]]
+    xu, yu = np.divmod(np.asarray(rows), q)
+    grid = params.spec.add_table().ravel().take(qx[xu][:, :, None] * q + qy[yu][:, None, :])
     return grid.reshape(len(xu), q * q)
 
 
 def origin_quadrance_values(params: ConicParams) -> np.ndarray:
     """(q^2,) array of quadrance value indices from the origin, by point id."""
-    qx, qy = _coordinate_quadrances(params)
-    return params.spec.add_table()[qx[0][:, None], qy[0][None, :]].ravel()
+    return quadrance_value_grid(params, [0])[0]
 
 
 def discriminant_character(spec: FieldSpec, i, j, k) -> np.ndarray:
@@ -337,100 +332,43 @@ def predicted_intersection_table(params: ConicParams, ks: np.ndarray | None = No
     return pred
 
 
-def _check_centre_pairs(
-    predict, x: int, row_x: np.ndarray, ys: np.ndarray, rows_y: np.ndarray
-) -> tuple[int, list[tuple]]:
-    """Compare the intersection histograms of the centre pairs (x, y), y in
-    ``ys``, with the prediction: (pairs with nonzero separation, mismatches).
-    ``row_x`` and ``rows_y`` are the quadrance grid rows of x and of each y;
-    ``predict(ks)`` gives the prediction slices [:, :, ks]."""
-    q = math.isqrt(row_x.size)
-    keys = rows_y + np.arange(len(ys), dtype=np.int64)[:, None] * (q * q)
-    keys += row_x * q
-    counts = np.bincount(keys.ravel(), minlength=len(ys) * q * q)
-    counts = counts.reshape(len(ys), q, q)
-    k_vals = row_x[ys]
-    valid = k_vals != 0
-    measured = counts[valid][:, 1:, 1:]
-    expected = predict(k_vals[valid])[1:, 1:, :].transpose(2, 0, 1)
-    y_sel = ys[valid]
-    wrong = measured != expected
-    mismatches = [
-        (x, int(y_sel[r]), int(ii + 1), int(jj + 1),
-         int(measured[r, ii, jj]), int(expected[r, ii, jj]))
-        for r, ii, jj in (np.argwhere(wrong)[:20] if wrong.any() else ())
-    ]
-    return int(valid.sum()), mismatches
-
-
-def _translation_mismatch(params: ConicParams, grid: np.ndarray) -> tuple | None:
-    """The first grid entry, in row-major order, off the translation identity
-    grid[x, z] = grid[0, z - x], as ("translation", x, z, grid[x, z],
-    grid[0, z - x]); None when the whole grid keeps it.  The grid is read in
-    blocks of q rows, the points (x1, .), so beyond it the check holds O(q^3)."""
-    q = params.q
-    d = _differences(params.spec)
-    origin = grid[0].reshape(q, q)
-    for x1 in range(q):
-        # grid[0, z - x] for the points x = (x1, x2) and z = (z1, z2), indexed [x2, z1, z2]
-        shifted = origin[d[x1][None, :, None], d[:, None, :]].reshape(q, q * q)
-        block = grid[x1 * q:(x1 + 1) * q]
-        broken = block != shifted
-        if broken.any():
-            x2, z = divmod(int(broken.argmax()), q * q)
-            return ("translation", x1 * q + x2, z, int(block[x2, z]), int(shifted[x2, z]))
-    return None
-
-
-def verify_intersection_trichotomy(params: ConicParams, sample_centers: int = 200) -> dict:
+def verify_intersection_trichotomy(params: ConicParams) -> dict:
     """Check measured pairwise circle intersections against the trichotomy.
 
     For q <= ``EXHAUSTIVE_CENTER_CAP`` every unordered centre pair X != Y with
     nonzero separation quadrance is checked against every nonzero (i, j).
-    Since Q(X, Z) = Q(0, Z - X), the pair (X, Y) has the same intersection
-    histogram as (0, Y - X): the check verifies that translation identity on
-    the whole quadrance grid, then compares the histograms of the pairs
-    (0, D) with the prediction, each standing for the q^2 pairs (X, X + D).
-    One D of each pair {D, -D} suffices: both stand for the same unordered
-    pairs, and relabelling Z -> Z - D makes the histogram of (0, -D) the
-    transpose of that of (0, D), read against the same prediction slice as
-    Q(0, -D) = Q(0, D).  Both the identity and the histograms are checked in
-    blocks of q grid rows, the points (x1, .), so beyond the (q^2, q^2) grid
-    the check holds O(q^3).  Larger fields check ``sample_centers`` centre
-    pairs drawn under ``SAMPLE_SEED``.
+    Q(X, Z) = Q(0, Z - X) by the formula for Q, so relabelling Z -> Z - X
+    gives the pair (X, X + D) the intersection histogram of (0, D): the check
+    compares with the prediction the histograms of the pairs (0, D), each
+    weighted by the q^2 pairs (X, X + D) it stands for.  One D of each pair
+    {D, -D} suffices: both stand for the same unordered pairs, and
+    relabelling Z -> Z - D makes the histogram of (0, -D) the transpose of
+    that of (0, D), read against the same prediction slice as
+    Q(0, -D) = Q(0, D).  The kept D are read in blocks of q quadrance grid
+    rows, the points (x1, .), so the check holds O(q^3).  Larger fields
+    check ``SAMPLE_PAIRS`` centre pairs drawn under ``SAMPLE_SEED``.
 
     Returns a summary dict with the number of unordered centre pairs checked
-    and any mismatches.  A histogram mismatch is (x, y, i, j, measured,
-    predicted) for the centre point ids x and y, as in
-    ``quadrance_value_grid``.  A grid entry that breaks the translation
-    identity is reported as ("translation", x, z, grid[x, z],
-    grid[0, z - x]), and then no pair counts as checked.
+    and the first 20 mismatches, each (x, y, i, j, measured, predicted) for
+    the centre point ids x and y, as in ``quadrance_value_grid``.
     """
     q = params.q
     n_pts = q * q
-    pairs_checked = 0
-    mismatches = []
-
     if q <= EXHAUSTIVE_CENTER_CAP:
-        pred = predicted_intersection_table(params)
-        grid = quadrance_value_grid(params)
-        broken = _translation_mismatch(params, grid)
-        if broken:
-            mismatches.append(broken)
-        else:
-            # one D of each pair {D, -D}, the one with the smaller point id
-            neg = params.spec.neg_table()
-            half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
-            # the kept D in blocks of q grid rows, the points (x1, .)
-            for ds in np.split(half, np.searchsorted(half, np.arange(q, n_pts, q))):
-                pairs, bad = _check_centre_pairs(lambda ks: pred[:, :, ks], 0, grid[0],
-                                                 ds, grid[ds])
-                pairs_checked += n_pts * pairs
-                mismatches += bad[:20 - len(mismatches)]
+        table = predicted_intersection_table(params)
+
+        def predict(ks):
+            return table[:, :, ks]
+
+        # one D of each pair {D, -D}, the one with the smaller point id
+        neg = params.spec.neg_table()
+        half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
+        blocks = np.split(half, np.searchsorted(half, np.arange(q, n_pts, q)))
+        centre_pairs = [(0, ds, n_pts) for ds in blocks]
     else:
         rng = np.random.default_rng(SAMPLE_SEED)
-        starts = rng.integers(0, n_pts, size=sample_centers)
-        others = rng.integers(0, n_pts, size=sample_centers)
+        starts = rng.integers(0, n_pts, size=SAMPLE_PAIRS)
+        others = rng.integers(0, n_pts, size=SAMPLE_PAIRS)
         slices = {}  # prediction slices by separation: pairs often share one
 
         def predict(ks):
@@ -439,13 +377,24 @@ def verify_intersection_trichotomy(params: ConicParams, sample_centers: int = 20
                 slices[key] = predicted_intersection_table(params, ks)
             return slices[key]
 
-        for x, y in zip(starts.tolist(), others.tolist()):
-            if x != y:
-                # only the two grid rows and the one prediction slice this pair reads
-                rows = quadrance_value_grid(params, np.array([x, y]))
-                pairs, bad = _check_centre_pairs(predict, x, rows[0], np.array([y]), rows[1:])
-                pairs_checked += pairs
-                mismatches += bad
+        centre_pairs = [(x, np.array([y]), 1)
+                        for x, y in zip(starts.tolist(), others.tolist()) if x != y]
+
+    pairs_checked, mismatches = 0, []
+    # each centre x with centres ys, every pair standing for ``weight`` pairs
+    for x, ys, weight in centre_pairs:
+        rows = quadrance_value_grid(params, np.concatenate(([x], ys)))
+        # histogram [r, i, j]: the points Z with Q(x, Z) = i and Q(ys[r], Z) = j
+        keys = (np.arange(len(ys))[:, None] * q + rows[0]) * q + rows[1:]
+        counts = np.bincount(keys.ravel(), minlength=len(ys) * n_pts)
+        k = rows[0][ys]
+        valid = k != 0
+        measured = counts.reshape(len(ys), q, q)[valid][:, 1:, 1:]
+        expected = predict(k[valid])[1:, 1:, :].transpose(2, 0, 1)
+        pairs_checked += weight * int(valid.sum())
+        for r, i, j in np.argwhere(measured != expected)[:20 - len(mismatches)]:
+            mismatches.append((x, int(ys[valid][r]), int(i + 1), int(j + 1),
+                               int(measured[r, i, j]), int(expected[r, i, j])))
     return {
         "q": q,
         "pairs_checked": pairs_checked,

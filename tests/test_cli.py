@@ -411,6 +411,8 @@ def test_minorize_reports_exact_zero():
     # a field above the oracle cap is rejected before anything is written
     ("constants", "--p", "13", "--verify-oracle", "--cap", "10"),
     ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--cap", "10"),
+    # the unsplit diagnostic writes no table for the oracle to verify
+    ("constants", "--p", "5", "--d", "2", "--diagnostic-unsplit", "--verify-oracle"),
     ("axioms", "--p", "127", "--source", "oracle"),
     # flag ranges past which a run used to fail late, or exit 0 with bad output
     ("scan", "--qmin", "7", "--qmax", "1100"),

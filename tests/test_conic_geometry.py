@@ -282,30 +282,33 @@ def test_intersection_trichotomy_exhaustive_at_seeded_weights(p, d, seed):
     assert result["pairs_checked"] == TRICHOTOMY_PAIRS[(p, d)]
 
 
-@pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
+@pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5), (5, 2, 1), (3, 3, 1)])
 def test_quadrance_value_grid_matches_scalar_quadrance(p, d, seed):
+    # the exhaustive trichotomy check reads row 0 and rows of kept D
     spec = make_field(p, d)
     params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
-    points = [_pt(spec, *divmod(u, spec.q)) for u in range(spec.q ** 2)]
-    grid = conic_geometry.quadrance_value_grid(params)
-    assert grid.tolist() == [[quadrance(u, w, params).idx for w in points] for u in points]
+    q = spec.q
+    points = [_pt(spec, *divmod(u, q)) for u in range(q ** 2)]
+    rows = [0, *range(q, 2 * q)]  # the origin and the block of the points (1, .)
+    grid = conic_geometry.quadrance_value_grid(params, np.array(rows))
+    assert grid.tolist() == [[quadrance(points[u], w, params).idx for w in points]
+                             for u in rows]
 
 
 @pytest.mark.parametrize("rows", [[40, 3, 77, 3, 0, 80, 3], [80], [5, 5]])
 def test_quadrance_value_grid_rows_are_rows_of_the_grid(rows):
     spec = make_field(3, 2)
     params = ConicParams(spec, *seeded_weights(spec, 3))
-    grid = conic_geometry.quadrance_value_grid(params)
+    grid = conic_geometry.quadrance_value_grid(params, np.arange(81))
     got = conic_geometry.quadrance_value_grid(params, np.array(rows))
     assert got.shape == (len(rows), 81)
     assert np.array_equal(got, grid[rows])
 
 
 def test_exhaustive_trichotomy_memory():
-    # the grid and, block by block, its translation check and the histograms
-    # at q = 31: 8.2 MiB, of which the (q^2, q^2) int64 grid is 7.0 MiB; the
-    # translation check and histograms over the whole grid at once took
-    # 22.1 MiB, and building the grid and the difference table element-wise 49.4 MiB
+    # the prediction table and, block by block, the rows of the kept D and
+    # their histograms at q = 31: 1.5 MiB; any q^4-sized array, such as the
+    # (q^2, q^2) int64 quadrance grid the check once held (7.0 MiB), breaks it
     params = ConicParams(make_prime_field(31), 1, 1)
     for table in (params.spec.add_table, params.spec.mul_table, params.spec.chi_table):
         table()  # the cached field tables are not the check's own memory
@@ -316,35 +319,29 @@ def test_exhaustive_trichotomy_memory():
     finally:
         tracemalloc.stop()
     assert result["ok"] and result["pairs_checked"] == TRICHOTOMY_PAIRS[(31, 1)]
-    assert peak < 12 * 2**20
+    assert peak < 2 * 2**20
 
 
-# the earlier entry in row-major order is reported, whatever the order of the breaks
-@pytest.mark.parametrize("breaks", [
-    pytest.param([(5, 17)], id="5-17"), pytest.param([(48, 0)], id="48-0"),
-    pytest.param([(48, 0), (5, 17)], id="48-0-and-5-17")])
-def test_intersection_trichotomy_catches_a_grid_off_the_translation_identity(
-    breaks, monkeypatch
-):
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2)])
+def test_intersection_trichotomy_catches_a_wrong_grid_row(p, d, monkeypatch):
+    params = ConicParams(make_field(p, d), 1, 1)
+    q = params.q
+    origin = conic_geometry.origin_quadrance_values(params)
+    # the row of the kept D = (1, 2) is wrong at the point z = (2, 1)
+    D, z = q + 2, 2 * q + 1
+    assert origin[D] and origin[z]
     real = conic_geometry.quadrance_value_grid
 
-    def mutated(params):
-        grid = real(params).copy()
-        for entry in breaks:
-            grid[entry] = (grid[entry] + 1) % params.q
+    def mutated(params, rows):
+        grid = real(params, rows)
+        grid[np.asarray(rows) == D, z] += 1
+        grid %= q
         return grid
 
-    params = ConicParams(make_prime_field(7), 1, 1)
     monkeypatch.setattr(conic_geometry, "quadrance_value_grid", mutated)
     result = verify_intersection_trichotomy(params)
     assert not result["ok"]
-    spec, q = params.spec, params.q
-    x, z = min(breaks)
-    (xx, xy), (zx, zy) = (map(spec.element, divmod(u, q)) for u in (x, z))
-    # grid[0, z - x] is the quadrance from the origin to the point z - x
-    shift = quadrance(_pt(spec, 0, 0), Point(zx - xx, zy - xy), params).idx
-    assert result["mismatches"] == [
-        ("translation", x, z, (real(params)[x, z] + 1) % q, shift)]
+    assert (0, D) in {(x, y) for x, y, *_ in result["mismatches"]}
 
 
 def _single_pass_comparison(params, pred):
@@ -352,7 +349,7 @@ def _single_pass_comparison(params, pred):
     D at once, as the exhaustive check made it before it went by blocks."""
     q = params.q
     n = q * q
-    grid = conic_geometry.quadrance_value_grid(params)
+    grid = conic_geometry.quadrance_value_grid(params, np.arange(n))
     neg = params.spec.mul_table()[params.spec.p - 1]
     half = np.flatnonzero(np.arange(n) < (neg[:, None] * q + neg).ravel())
     keys = grid[half] + np.arange(len(half))[:, None] * n + grid[0] * q
@@ -438,7 +435,7 @@ def test_sampled_trichotomy_catches_a_flipped_prediction(monkeypatch):
         return pred
 
     monkeypatch.setattr(conic_geometry, "predicted_intersection_table", flipped)
-    result = verify_intersection_trichotomy(params, sample_centers=20)
+    result = verify_intersection_trichotomy(params)
     assert not result["ok"]
     assert {(i, j) for _, _, i, j, _, _ in result["mismatches"]} == {(1, 2)}
 
@@ -461,7 +458,7 @@ def test_sampled_trichotomy_builds_each_prediction_slice_once(monkeypatch):
 
 def test_intersection_trichotomy_sampled_large():
     spec = make_prime_field(37)
-    result = verify_intersection_trichotomy(ConicParams(spec, 1, 1), sample_centers=60)
+    result = verify_intersection_trichotomy(ConicParams(spec, 1, 1))
     assert result["ok"]
 
 
