@@ -1,7 +1,11 @@
 """Batch command-line front end; every run is reproducible and scriptable.
 
 Machine-readable CSV/JSON goes to --out (default stdout); human-readable
-summaries go to stderr.  Every output embeds the validated run config.
+summaries go to stderr.  Every output embeds the command's name and its own
+validated flags, less the output paths, so a rerun to another path writes
+the same bytes.  Only ``constants`` and ``axioms`` take the weights --a/--b,
+which only the enumeration oracle reads: the walk depends on q alone (see
+``kernel_for_step``), so the six walk commands build the weights (1, 1).
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 internal
 assertion, 130 interrupted (Ctrl-C).
 
@@ -10,14 +14,15 @@ Each input rule is stated once.  Flag ranges sit on the click options:
 [1000, 2^32] and --t in [0, 2^32] (``TRIAL_LIMIT``: past it the seeded
 streams alias), --seed >= 0, --qmin/--qmax in [3, ARITHMETIC_CAP], --eps in
 [1e-12, 1].  The rules that depend on q (an odd prime power within the
-arithmetic cap, weights and class labels in range(q), an enumeration within
-the oracle cap) are the library's.  ``main`` turns every user-caused error
-into exit 1 with one ``error:`` line: an invalid flag, two flags that
-exclude each other (constants' --verify-oracle and --diagnostic-unsplit),
-q above the arithmetic or oracle cap, a non-ergodic step class, an
-unwritable output path, or an input too large for the memory at hand.
-Every command checks each output path it will write before any
-computation, and rejects two output paths that name one file (by
+arithmetic cap, weights in range(q), an enumeration within the oracle cap)
+are the library's; a class label is 'iso' or an index in range(q) written
+as ``str`` writes it.  ``main`` turns every user-caused error into exit 1
+with one ``error:`` line: an invalid flag (also --a/--b on a walk command),
+two flags that exclude each other (constants' --verify-oracle and
+--diagnostic-unsplit), q above the arithmetic or oracle cap, a non-ergodic
+step class, an unwritable output path, or an input too large for the
+memory at hand.  Every command checks each output path it will write before
+any computation, and rejects two output paths that name one file (by
 ``os.path.realpath``, and by device and inode for files that exist, so hard
 links count), so exit 1 comes at once and leaves nothing behind.
 """
@@ -31,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import click
@@ -56,65 +60,53 @@ EPS_DEFAULT = 1.0 / (2.0 * math.e)  # 0.18393972058572117
 EPS_MIN = 1e-12  # worst-start TV in float64 bottoms out between 1e-16 and 4e-15
 
 
-@dataclass
-class RunConfig:
-    """Validated flag set; echoed into every output."""
-
-    command: str
-    p: int = 0
-    d: int = 1
-    a: int = 1
-    b: int = 1
-    c: int | None = None
-    s: str = "1"
-    eps: float = EPS_DEFAULT
-    seed: int = 42
-    fmt: str = "json"
-    cap: int = ORACLE_CAP
-    extra: dict | None = None
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        extra = out.pop("extra") or {}
-        out.update(extra)
-        return out
+# never echoed, so that a rerun to another path writes the same bytes
+OUTPUT_PATHS = frozenset(("out", "errata_out", "hist_out"))
 
 
-def _params(cfg: RunConfig) -> ConicParams:
+def _params(p: int, d: int, a: int = 1, b: int = 1) -> ConicParams:
     try:
-        spec = make_field(cfg.p, cfg.d)
+        spec = make_field(p, d)
     except ConicwalkError as e:
         raise ConfigError(f"q must be an odd prime power: {e}") from e
     try:
-        return ConicParams(spec, cfg.a, cfg.b, cfg.c)
+        return ConicParams(spec, a, b)
     except ValueError as e:
         raise ConfigError(f"invalid conic weights: {e}") from e
 
 
 def _parse_class(label: str, params: ConicParams) -> ClassIndex:
+    """'iso', or an index in range(q) as ``str`` writes it: one label, and
+    one echo, per class."""
     if label == "iso":
         if not params.split:
             raise ConfigError("no isotropic class for q = 3 (mod 4)")
         return ClassIndex.isotropic(params.spec)
     try:
-        return ClassIndex.finite(params.spec.element(int(label)))
+        value = int(label)
+        if str(value) != label:
+            raise ValueError("not written as 'iso' or a plain decimal index")
+        return ClassIndex.finite(params.spec.element(value))
     except ValueError as e:
         raise ConfigError(f"invalid class label {label!r}: {e}") from e
 
 
-def _walk(cfg: RunConfig):
-    """The conic parameters and the kernel of the step class ``cfg.s``."""
-    params = _params(cfg)
-    return params, kernel_for_step(params, _parse_class(cfg.s, params))
+def _walk(p: int, d: int, s: str):
+    """The conic parameters and the kernel of the step class ``s``; the walk
+    reads no weight, so the weights are (1, 1)."""
+    params = _params(p, d)
+    return params, kernel_for_step(params, _parse_class(s, params))
 
 
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _config_comment(cfg: RunConfig) -> str:
-    items = " ".join(f"{k}={v}" for k, v in sorted(cfg.to_json().items()))
-    return f"# conicwalk {__version__} {items}"
+def _config() -> dict:
+    """The running command's name and validated flags, less its output paths."""
+    ctx = click.get_current_context()
+    return {"command": ctx.command.name,
+            **{k: v for k, v in ctx.params.items() if k not in OUTPUT_PATHS}}
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -182,8 +174,8 @@ def _json_text(obj, indent: str = "\n") -> str:
     return "[" + inner + _list_encoder(inner)(obj)[1:-1] + indent + "]"
 
 
-def _emit_json(payload: dict, cfg: RunConfig, out: str | None) -> None:
-    payload = {"config": cfg.to_json(), **payload}
+def _emit_json(payload: dict, out: str | None) -> None:
+    payload = {"config": _config(), **payload}
     with _sink(out) as fh:
         fh.write(_json_text(payload) + "\n")
 
@@ -192,11 +184,12 @@ def _csv_line(row) -> str:
     return ",".join(str(v) for v in row) + "\n"
 
 
-def _emit_csv(header: list[str], chunks, cfg: RunConfig, out: str | None) -> None:
+def _emit_csv(header: list[str], chunks, out: str | None) -> None:
     """Write the header, then each text chunk of CSV lines, flushing after
     each chunk, so a run that stops early keeps the chunks written before."""
+    items = " ".join(f"{k}={v}" for k, v in sorted(_config().items()))
     with _sink(out) as fh:
-        fh.write(_config_comment(cfg) + "\n" + _csv_line(header))
+        fh.write(f"# conicwalk {__version__} {items}\n" + _csv_line(header))
         fh.flush()
         for chunk in chunks:
             fh.write(chunk)
@@ -217,10 +210,14 @@ def field_options(fn):
     fn = click.option("--p", type=int, required=True, help="odd prime characteristic")(fn)
     fn = click.option("--d", type=click.IntRange(min=1), default=1, show_default=True,
                       help="extension degree")(fn)
+    fn = click.option("--out", type=click.Path(), default=None, help="output path (default stdout)")(fn)
+    return fn
+
+
+def weight_options(fn):
+    """The weights of a*x^2 + b*y^2, read by the enumeration oracle only."""
     fn = click.option("--a", type=int, default=1, show_default=True)(fn)
     fn = click.option("--b", type=int, default=1, show_default=True)(fn)
-    fn = click.option("--c", type=int, default=None, help="override the derived root of a*b")(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="output path (default stdout)")(fn)
     return fn
 
 
@@ -244,6 +241,7 @@ def cli() -> None:
 
 @cli.command()
 @field_options
+@weight_options
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--verify-oracle", is_flag=True,
@@ -254,15 +252,12 @@ def cli() -> None:
               help="errata report path (default <out>.errata.json or errata.json)")
 @click.option("--cap", type=int, default=ORACLE_CAP, show_default=True,
               help="enumeration cap; raising it can be very slow")
-def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata_out, cap):
+def constants(p, d, a, b, out, fmt, verify_oracle, diagnostic_unsplit, errata_out, cap):
     """Dump the structure-constant table; optionally verify it by enumeration."""
     if verify_oracle and diagnostic_unsplit:
         # the unsplit diagnostic writes no table, so there is none to verify
         raise ConfigError("--verify-oracle and --diagnostic-unsplit exclude each other")
-    cfg = RunConfig(command="constants", p=p, d=d, a=a, b=b, c=c, fmt=fmt, cap=cap,
-                    extra={"verify_oracle": verify_oracle,
-                           "diagnostic_unsplit": diagnostic_unsplit})
-    params = _params(cfg)
+    params = _params(p, d, a, b)
     if diagnostic_unsplit and not params.split:
         raise ConfigError("--diagnostic-unsplit needs q = 1 (mod 4)")
     runs_oracle = verify_oracle or diagnostic_unsplit
@@ -278,22 +273,21 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
     if diagnostic_unsplit:
         table = oracle_table(params, split=False, cap=cap)
         report = verify_axioms(table)
-        _emit_json({"axioms": report.to_json()}, cfg, out)
+        _emit_json({"axioms": report.to_json()}, out)
         _note(f"unsplit diagnostic for q={params.q}: hermitian_support="
               f"{report.hermitian_support} (expected False)")
         return
 
     table = build_table(params, "closed-form")
     if fmt == "json":
-        _emit_json({"table": table.to_json_dict()}, cfg, out)
+        _emit_json({"table": table.to_json_dict()}, out)
     else:
-        _emit_csv(["i", "j", "k", "num", "den", "N_i", "N_j"],
-                  table.csv_blocks(), cfg, out)
+        _emit_csv(["i", "j", "k", "num", "den", "N_i", "N_j"], table.csv_blocks(), out)
 
     if verify_oracle:
         oracle = oracle_table(params, cap=cap)
         fresh = table.mismatches(oracle)
-        _emit_json(errata_report(fresh), cfg, errata_path)
+        _emit_json(errata_report(fresh), errata_path)
         if fresh:
             _note(f"oracle mismatch: {table.differs(oracle).sum()} differing triples; "
                   f"see {errata_path}")
@@ -304,17 +298,16 @@ def constants(p, d, a, b, c, out, fmt, verify_oracle, diagnostic_unsplit, errata
 
 @cli.command()
 @field_options
+@weight_options
 @click.option("--source", type=click.Choice(["closed-form", "oracle"]),
               default="closed-form", show_default=True)
-def axioms(p, d, a, b, c, out, source):
+def axioms(p, d, a, b, out, source):
     """Hypergroup axiom report; exits 2 if any axiom fails."""
-    cfg = RunConfig(command="axioms", p=p, d=d, a=a, b=b, c=c,
-                    extra={"source": source})
     _check_writable(out)
-    params = _params(cfg)
+    params = _params(p, d, a, b)
     table = build_table(params, source)
     report = verify_axioms(table)
-    _emit_json({"axioms": report.to_json()}, cfg, out)
+    _emit_json({"axioms": report.to_json()}, out)
     _note(f"axioms on q={params.q} ({source}): all_pass={report.all_pass}")
     if not report.all_pass:
         raise SystemExit(2)
@@ -325,15 +318,14 @@ def axioms(p, d, a, b, c, out, source):
 @step_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
-def kernel(p, d, a, b, c, out, s, fmt):
+def kernel(p, d, out, s, fmt):
     """Dump the walk kernel K(i, j) = n[i, s, j]."""
-    cfg = RunConfig(command="kernel", p=p, d=d, a=a, b=b, c=c, s=s, fmt=fmt)
     _check_writable(out)
-    params, k = _walk(cfg)
+    params, k = _walk(p, d, s)
     if fmt == "json":
-        _emit_json({"kernel": k.to_json_dict()}, cfg, out)
+        _emit_json({"kernel": k.to_json_dict()}, out)
     else:
-        _emit_csv(["i", "j", "num", "den"], k.csv_blocks(), cfg, out)
+        _emit_csv(["i", "j", "num", "den"], k.csv_blocks(), out)
     _note(f"kernel q={params.q} step={s}: {k.size}x{k.size} rows exact-stochastic")
 
 
@@ -342,17 +334,14 @@ def kernel(p, d, a, b, c, out, s, fmt):
 @step_option
 @click.option("--method", type=click.Choice(["auto", "power", "exact"]), default="auto",
               show_default=True)
-def stationary_cmd(p, d, a, b, c, out, s, method):
+def stationary_cmd(p, d, out, s, method):
     """Stationary distribution versus the class-size (Haar) distribution."""
-    cfg = RunConfig(command="stationary", p=p, d=d, a=a, b=b, c=c, s=s,
-                    extra={"method": method})
     _check_writable(out)
-    params, k = _walk(cfg)
+    params, k = _walk(p, d, s)
     pi = stationary(k, method=method)
     ref = haar(params)
     sup = float(abs(pi.probs - ref.probs).max())
-    _emit_json({"stationary": pi.to_json(), "haar": ref.to_json(),
-                "sup_diff": sup}, cfg, out)
+    _emit_json({"stationary": pi.to_json(), "haar": ref.to_json(), "sup_diff": sup}, out)
     _note(f"stationary q={params.q} step={s}: sup|pi - haar| = {sup:.3e}")
     if sup > 1e-12:
         raise SystemExit(2)
@@ -362,13 +351,12 @@ def stationary_cmd(p, d, a, b, c, out, s, method):
 @field_options
 @step_option
 @eps_option
-def mixing(p, d, a, b, c, out, s, eps):
+def mixing(p, d, out, s, eps):
     """Measured mixing time, proven bound, and the worst-start TV curve."""
-    cfg = RunConfig(command="mixing", p=p, d=d, a=a, b=b, c=c, s=s, eps=eps)
     _check_writable(out)
-    params = _params(cfg)
-    rep = mixing_report(params, _parse_class(cfg.s, params), eps)
-    _emit_json({"mixing": rep.to_json()}, cfg, out)
+    params = _params(p, d)
+    rep = mixing_report(params, _parse_class(s, params), eps)
+    _emit_json({"mixing": rep.to_json()}, out)
     _note(f"mixing q={rep.q}: tau({eps:g}) = {rep.tau} <= bound {rep.tau_bound}")
     if rep.tau > rep.tau_bound:
         raise SystemExit(2)
@@ -377,16 +365,14 @@ def mixing(p, d, a, b, c, out, s, eps):
 @cli.command()
 @field_options
 @step_option
-@click.option("--steps", "m", type=click.IntRange(min=1), default=None,
+@click.option("--steps", type=click.IntRange(min=1), default=None,
               help="kernel power (default 4 for q=3 mod 4, 6 for q=1 mod 4)")
-def minorize(p, d, a, b, c, out, s, m):
+def minorize(p, d, out, s, steps):
     """Minimum of K^m / pi against the proven minorization constant."""
-    cfg = RunConfig(command="minorize", p=p, d=d, a=a, b=b, c=c, s=s,
-                    extra={"steps": m})
     _check_writable(out)
-    params, k = _walk(cfg)
-    verdict = minorization_check(k, haar(params), m)
-    _emit_json({"minorization": verdict}, cfg, out)
+    params, k = _walk(p, d, s)
+    verdict = minorization_check(k, haar(params), steps)
+    _emit_json({"minorization": verdict}, out)
     ref = float(Fraction(verdict["reference"]))
     _note(f"minorization q={k.q} m={verdict['m']}: min K^m/pi = {verdict['measured']:.6g} "
           f"(reference {ref:.6g} at m={verdict['reference_m']})")
@@ -402,19 +388,17 @@ def minorize(p, d, a, b, c, out, s, m):
               show_default=True)
 @click.option("--hist-out", type=click.Path(), default=None,
               help="coalescence histogram CSV path")
-def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
+def couple(p, d, out, s, start, trials, seed, hist_out):
     """Coupled-walk simulation: coalescence times and empirical tail."""
-    cfg = RunConfig(command="couple", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
-                    extra={"trials": trials, "start": start})
     _check_writable(out, hist_out)
-    params, k = _walk(cfg)
+    params, k = _walk(p, d, s)
     stats = run_coupling_trials(k, haar(params), _parse_class(start, params), trials, seed)
     payload = stats.to_json()
-    _emit_json({"coupling": payload}, cfg, out)
+    _emit_json({"coupling": payload}, out)
     if hist_out:
         hist = zip(np.bincount(stats.times).tolist(), payload["tail"])
         lines = [_csv_line((t, n, _fmt_float(tail))) for t, (n, tail) in enumerate(hist)]
-        _emit_csv(["t", "count", "empirical_tail"], ["".join(lines)], cfg, hist_out)
+        _emit_csv(["t", "count", "empirical_tail"], ["".join(lines)], hist_out)
     _note(f"coupling q={params.q}: {trials} trials, mean T = {stats.mean_time:.2f}")
 
 
@@ -425,14 +409,12 @@ def couple(p, d, a, b, c, out, s, start, trials, seed, hist_out):
 @click.option("--t", "t", type=click.IntRange(0, TRIAL_LIMIT), default=8, show_default=True)
 @click.option("--trials", type=click.IntRange(1000, TRIAL_LIMIT), default=100_000,
               show_default=True)
-def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
+def mctv(p, d, out, s, start, t, trials, seed):
     """Monte Carlo TV estimate at step t with a bootstrap interval."""
-    cfg = RunConfig(command="mctv", p=p, d=d, a=a, b=b, c=c, s=s, seed=seed,
-                    extra={"trials": trials, "t": t, "start": start})
     _check_writable(out)
-    params, k = _walk(cfg)
+    params, k = _walk(p, d, s)
     est = monte_carlo_tv(_parse_class(start, params), t, trials, seed, k, haar(params))
-    _emit_json({"monte_carlo_tv": est.to_json()}, cfg, out)
+    _emit_json({"monte_carlo_tv": est.to_json()}, out)
     _note(f"mc tv q={params.q} t={t}: {est.estimate:.5f} "
           f"[{est.ci_low:.5f}, {est.ci_high:.5f}]")
 
@@ -446,8 +428,6 @@ def mctv(p, d, a, b, c, out, s, start, t, trials, seed):
 @click.option("--out", type=click.Path(), default=None)
 def scan(qmin, qmax, branch, eps, out):
     """Sweep all admissible odd prime powers: tau, bound, minorization per q."""
-    cfg = RunConfig(command="scan", eps=eps,
-                    extra={"qmin": qmin, "qmax": qmax, "branch": branch})
     if qmax < qmin:
         raise ConfigError("need qmin <= qmax")
     ratios = []
@@ -468,7 +448,7 @@ def scan(qmin, qmax, branch, eps, out):
 
     _emit_csv(["q", "branch", "class_count", "tau_measured", "tau_bound",
                "minorization_measured", "minorization_bound", "ratio_tau_over_q"],
-              rows(), cfg, out)
+              rows(), out)
     _note(f"scan [{qmin},{qmax}] branch={branch}: max tau/q = {max(ratios, default=0.0):.4f}")
 
 

@@ -1,11 +1,10 @@
 """Weighted quadrance, weighted circles, point counts, intersection counts.
 
-The quadratic form a*x^2 + b*y^2 (with a*b a nonzero square, c its canonical
-square root) partitions the plane GF(q)^2 into level sets of the quadrance
-from the origin.  When q = 1 (mod 4) the null cone contains points besides
-the origin and is split off as a separate "isotropic" class; the unsplit
-partition is kept available as a diagnostic because it fails the hypergroup
-axioms.
+The quadratic form a*x^2 + b*y^2 (with a*b a nonzero square) partitions the
+plane GF(q)^2 into level sets of the quadrance from the origin.  When
+q = 1 (mod 4) the null cone contains points besides the origin and is split
+off as a separate "isotropic" class; the unsplit partition is kept available
+as a diagnostic because it fails the hypergroup axioms.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, FieldMismatch, IndexInvalid, ZeroQuadranceArg
-from .finite_field import FieldElement, FieldSpec, quadratic_character, sqrt
+from .finite_field import FieldElement, FieldSpec, quadratic_character
 
 ORACLE_CAP = 125
 EXHAUSTIVE_CENTER_CAP = 31
@@ -24,26 +23,19 @@ SAMPLE_PAIRS = 200  # centre pairs drawn above EXHAUSTIVE_CENTER_CAP
 
 
 class ConicParams:
-    """The weight triple (a, b, c), all nonzero with a*b = c^2."""
+    """The weights (a, b) of a*x^2 + b*y^2: both nonzero, a*b a square."""
 
-    __slots__ = ("spec", "a", "b", "c")
+    __slots__ = ("spec", "a", "b")
 
-    def __init__(self, spec: FieldSpec, a, b, c=None):
+    def __init__(self, spec: FieldSpec, a, b):
         self.spec = spec
         self.a = spec.element(a)
         self.b = spec.element(b)
         if not self.a or not self.b:
             raise ValueError("a and b must be nonzero")
         ab = self.a * self.b
-        if c is None:
-            root = sqrt(ab)
-            if root is None:
-                raise ValueError(f"a*b = {ab!r} is not a square in {spec!r}; no valid c")
-            self.c = root
-        else:
-            self.c = spec.element(c)
-            if not self.c or self.c * self.c != ab:
-                raise ValueError("c must be nonzero with c^2 = a*b")
+        if quadratic_character(ab) != 1:
+            raise ValueError(f"a*b = {ab!r} is not a square in {spec!r}")
 
     @property
     def q(self) -> int:
@@ -61,20 +53,19 @@ class ConicParams:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConicParams):
             return NotImplemented
-        return (self.spec, self.a, self.b, self.c) == (other.spec, other.a, other.b, other.c)
+        return (self.spec, self.a, self.b) == (other.spec, other.a, other.b)
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.a.idx, self.b.idx, self.c.idx))
+        return hash((self.spec, self.a.idx, self.b.idx))
 
     def __repr__(self) -> str:
-        return f"ConicParams({self.spec!r}, a={self.a!r}, b={self.b!r}, c={self.c!r})"
+        return f"ConicParams({self.spec!r}, a={self.a!r}, b={self.b!r})"
 
     def to_json(self) -> dict:
         return {
             "field": self.spec.to_json(),
             "a": self.a.to_json(),
             "b": self.b.to_json(),
-            "c": self.c.to_json(),
         }
 
 

@@ -192,7 +192,15 @@ def kernel(table: StructureTable, s: ClassIndex) -> Kernel:
 
 def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
     """Kernel straight from the closed form, all rows in one call: O(q^2)
-    memory, never the q^3 table."""
+    memory, never the q^3 table.
+
+    The kernel depends on q alone.  It reads no weight: when ab is a square,
+    a*x^2 + b*y^2 and x^2 + y^2 have one discriminant, so they are isometric,
+    and a linear isometry maps each circle to the circle of the same radius
+    and commutes with translation.  A finite nonzero step s gives the step-1
+    kernel with each finite class i relabelled s*i (zero and isotropic fixed):
+    the discriminant f of the intersection count is homogeneous of degree 2,
+    f(si, s, sk) = s^2 f(i, 1, k), and chi(s^2 x) = chi(x)."""
     if s is None:
         s = ClassIndex.finite(params.spec.one)
     with params.spec.interned():  # one element per index, for the classes and the row
@@ -406,8 +414,10 @@ def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    scale = k.step_size ** m
-    if scale >= 2 ** 53 or pi.exact is None:
+    # N_s^m >= 2^(m (bit_length - 1)): a large m takes the float path before
+    # its power, an int of about m log2(N_s) bits, is built
+    scale = None if m * (k.step_size.bit_length() - 1) >= 53 else k.step_size ** m
+    if scale is None or scale >= 2 ** 53 or pi.exact is None:
         mat = np.linalg.matrix_power(k.mat, m)
         return None, float((mat / pi.probs[None, :]).min())
     col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)

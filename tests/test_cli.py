@@ -244,6 +244,53 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
+def test_outputs_byte_identical_across_output_paths(tmp_path):
+    # the output paths are not echoed, so a rerun elsewhere writes the same bytes
+    runs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        for args in (("couple", "--p", "7", "--trials", "500", "--out", str(d / "c.json"),
+                      "--hist-out", str(d / "h.csv")),
+                     ("constants", "--p", "7", "--verify-oracle", "--out", str(d / "t.csv"),
+                      "--errata-out", str(d / "e.json"))):
+            r = run_main(*args)
+            assert r.returncode == 0, r.stderr
+        runs.append({p.name: p.read_bytes() for p in d.iterdir()})
+    assert sorted(runs[0]) == ["c.json", "e.json", "h.csv", "t.csv"]
+    assert runs[0] == runs[1]
+
+
+# the smallest run of each subcommand, to the echo test
+ECHO_ARGV = {
+    "constants": ("--p", "7"),
+    "axioms": ("--p", "7"),
+    "kernel": ("--p", "7"),
+    "stationary": ("--p", "7"),
+    "mixing": ("--p", "7"),
+    "minorize": ("--p", "7"),
+    "couple": ("--p", "7", "--trials", "10"),
+    "mctv": ("--p", "7", "--t", "1", "--trials", "1000"),
+    "scan": ("--qmin", "7", "--qmax", "9"),
+}
+
+
+@pytest.mark.parametrize("cmd", list(ECHO_ARGV))
+def test_config_echoes_exactly_the_commands_own_flags(cmd, tmp_path):
+    from conicwalk import cli
+
+    r = run_main(cmd, *ECHO_ARGV[cmd], "--out", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stderr
+    text = (tmp_path / "out").read_text()
+    if text.startswith("#"):  # a CSV's config line: "# conicwalk <version> k=v ..."
+        config = dict(item.split("=", 1) for item in text.split("\n")[0].split()[3:])
+    else:
+        config = json.loads(text)["config"]
+    params = {param.name for param in cli.cli.commands[cmd].params}
+    assert config["command"] == cmd
+    assert set(config) == {"command"} | params - {"out", "errata_out", "hist_out"}
+
+
 def test_mctv_command(tmp_path):
     out = tmp_path / "mc.json"
     r = run_main("mctv", "--p", "7", "--t", "2", "--trials", "2000",
@@ -255,34 +302,35 @@ def test_mctv_command(tmp_path):
 
 # sha256 of stdout, recorded before the structure constants moved to integer
 # counts; these outputs are exact (no float from a matrix product), so the
-# refactor must not change a byte
+# refactor must not change a byte.  Re-recorded when the config echo became
+# each command's own flags: only the echo changed (and the params' "c")
 GOLDEN_STDOUT = {
     ("constants", "--p", "13"):
-        "3fc7419aad91e2b78fed2fda492ccd64eec33542c4e7953aa73ab2701d08a5e1",
+        "5d0b8124a899d3ecbc943c0bb260d65d9b230de8e5b3ff3cfa875b8f2103c9e1",
     ("constants", "--p", "3", "--d", "3"):
-        "4cd3257efedf2d2c2ff83c72b5f221b1d0ba4dbb5f5abc6b1a5e4ecf666dc92b",
+        "dd244d425c979ebe44749a99df820c2fe50a3f05656776ea8da362c605c02848",
     ("constants", "--p", "7", "--format", "json"):
-        "c7480c543c99f80f0ad916faf9f43af6c947c9cf39beacd05baed406dcbbebb1",
+        "6923591786fdfdb94f38d7fcaf86d4838a952026c731cf3b30249a41bd8a0d80",
     ("constants", "--p", "13", "--diagnostic-unsplit"):
-        "7670e68a80edee440693d920bb5a539bdded96bf0d21e536d36ab33a5cf59c73",
+        "c1264dc31168e914d860c6632377e98865284d369afa7054711e8339a9686e64",
     ("axioms", "--p", "5", "--d", "2"):
-        "b56f1110850d34ed3450052f31b05178d9dc47f9d23fa616354095ab20b49363",
+        "5e066b8ac36f6977304409d15e456c4da3732b52b62281eb93e6c1487eb2facf",
     ("axioms", "--p", "13", "--source", "oracle"):
-        "e727dcc4b467b56c1410393e840c57d45e407eaf1049c712c58731dba08aed25",
+        "256a4e6b772f9d6729d90f09bfb46863f03dd6fabf065a2a5e7f7926c08392d8",
     ("kernel", "--p", "13", "--s", "iso", "--format", "csv"):
-        "72728ca140bd677bbaa8f6531da4d0794eae24629b5d236a98554b24452f2644",
+        "277fcb025a62c24bac65467048bfb9ea592455274d75989adf02cbfbcccd8e36",
     ("kernel", "--p", "7"):
-        "44c6624ed5c61102b175fb3a538a7b826b5ca4fc18d18928bc3a1a6c42c43c60",
+        "0424ff3fda603b9df1798574a1029cb5efb40d41740131bec92c698569d55b9b",
     ("stationary", "--p", "31", "--method", "exact"):
-        "3f2ef4dcc4067f16e40c07153adb94a9430d2b2643e22646338c6ebeed8b56f7",
+        "7f3f56c452ac8da7828c8630544f8f3ebea87c1433d09065696d5b96eb6c1c76",
     # the Monte Carlo bytes: a change to the stream or to the draw rule
     # changes these, a change to the search method alone does not
     ("couple", "--p", "7", "--trials", "2000", "--seed", "3"):
-        "7308d1d71b3e33834e778abea75e4bc031adcde4390ebbc5ff695822ad819239",
+        "7deced03935641cb9f53a63b91d99bb1100813faabcf817683288934bebeb701",
     ("couple", "--p", "61", "--trials", "500", "--seed", "1"):
-        "7fd6123d58480a7844a117531f682cac99e7ec9fa3b92a818b183c4cfca55ada",
+        "3ea26a5ec9a13f7392584f5ed3c8bcac61b05d29eeaeaf9c1a608bc8b8c10dbe",
     ("mctv", "--p", "13", "--t", "12", "--trials", "2000", "--seed", "42"):
-        "e39807d18a1aacabf95537b89d5293becab4c66297dfd7d10457d0ec307acbd9",
+        "42d1cb22e761ff2c09486b6250362435685f6828c8085f70fc247bddfdbfeec2",
 }
 
 
@@ -294,7 +342,8 @@ def test_outputs_match_recorded_digests(args):
 
 
 # stdout of the Monte Carlo commands, recorded before the walk engine moved to
-# per-trial SplitMix64 states, compacted pairs and trial blocks
+# per-trial SplitMix64 states, compacted pairs and trial blocks; the config
+# echo was later cut to each command's own flags
 GOLDEN_MC_STDOUT = {
     ("couple", "--p", "61", "--trials", "2000", "--seed", "1"): "couple_p61_seed1.json",
     ("mctv", "--p", "13", "--t", "12", "--trials", "5000", "--seed", "1"):
@@ -341,7 +390,8 @@ def test_json_writer_reproduces_recorded_files(name):
 
 # stdout recorded at the same point for outputs that carry floats from BLAS
 # matrix products, whose last bits may vary with the BLAS kernel: ints and
-# strings must match exactly, floats to 1e-12 relative
+# strings must match exactly, floats to 1e-12 relative.  The config echo was
+# later cut to each command's own flags, the recorded values kept
 GOLDEN_FLOAT_STDOUT = {
     ("mixing", "--p", "13"): "mixing_p13.json",
     ("minorize", "--p", "13"): "minorize_p13.json",
@@ -397,6 +447,20 @@ def test_minorize_reports_exact_zero():
     ("kernel", "--p", "7", "--s", "8"),
     ("kernel", "--p", "7", "--s", "-1"),
     ("kernel", "--p", "7", "--a", "8"),
+    # the walk reads no weight, and no command reads c
+    ("kernel", "--p", "7", "--a", "2"),
+    ("mixing", "--p", "7", "--b", "3"),
+    ("stationary", "--p", "7", "--b", "2"),  # 2 = 3^2: valid weights before
+    ("couple", "--p", "7", "--trials", "10", "--c", "1"),
+    ("constants", "--p", "7", "--c", "1"),
+    # one class, one label: int() would read each of these as some index
+    ("kernel", "--p", "13", "--s", "1_0"),
+    ("kernel", "--p", "13", "--s", "\u0663"),
+    ("kernel", "--p", "13", "--s", "01"),
+    ("kernel", "--p", "13", "--s", " 2"),
+    ("kernel", "--p", "13", "--s", "+3"),
+    ("couple", "--p", "13", "--trials", "10", "--start", "01"),
+    ("mctv", "--p", "13", "--trials", "1000", "--start", "+3"),
     ("minorize", "--p", "7", "--steps", "0"),
     ("couple", "--p", "7", "--trials", "0"),
     ("mctv", "--p", "7", "--trials", "10"),
@@ -602,7 +666,7 @@ def test_two_outputs_naming_one_file_exit_1_before_any_computation(args, linked,
 # CLI fuzz: subcommands with valid and invalid flag values, run in-process
 # ---------------------------------------------------------------------------
 
-CLASS_LABELS = ["0", "1", "2", "8", "-1", "iso", "x"]
+CLASS_LABELS = ["0", "1", "2", "8", "-1", "01", "iso", "x"]
 EPS_VALUES = ["1e-300", "1e-12", "0.18", "1", "1.5", "0", "-0.5", "nan", "inf"]
 
 
@@ -623,8 +687,9 @@ def cli_argv(draw):
                                     st.sampled_from([-1, 0, 1, 2]))))
     # the closed-form table of GF(169) has 4.9M entries and takes seconds
     assume(not (cmd == "constants" and (p, d) == (13, 2)))
-    argv = [cmd, "--p", str(p), "--d", str(d),
-            *opt("--a", [-1, 0, 1, 2, 3, 8]), *opt("--b", [1, 3, 4]), *opt("--c", [0, 1, 6])]
+    argv = [cmd, "--p", str(p), "--d", str(d)]
+    if cmd in ("constants", "axioms"):  # the only commands that take weights
+        argv += [*opt("--a", [-1, 0, 1, 2, 3, 8]), *opt("--b", [1, 3, 4])]
     if cmd == "constants":
         argv += [*opt("--format", ["csv", "json"]), *opt("--cap", [10, 125])]
         argv += draw(st.sampled_from([[], ["--verify-oracle"], ["--diagnostic-unsplit"]]))

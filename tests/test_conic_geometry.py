@@ -36,21 +36,11 @@ def _pt(spec, x, y):
 
 def test_conic_params_validation():
     f7 = make_prime_field(7)
-    p = ConicParams(f7, 1, 2)
-    assert p.c == f7.element(3)  # canonical root of 2
-    assert ConicParams(f7, 1, 1).c == f7.element(1)
+    ConicParams(f7, 1, 2)  # 2 = 3^2 is a square mod 7
     with pytest.raises(ValueError):
         ConicParams(f7, 1, 3)  # 3 is not a square mod 7
     with pytest.raises(ValueError):
         ConicParams(f7, 0, 1)
-    with pytest.raises(ValueError):
-        ConicParams(f7, 1, 2, c=5)  # 5^2 = 4 != 2
-
-
-def test_conic_params_explicit_c():
-    f7 = make_prime_field(7)
-    assert ConicParams(f7, 1, 2, c=3).c.idx == 3
-    assert ConicParams(f7, 1, 2, c=4).c.idx == 4  # the other root is accepted too
 
 
 def test_quadrance_examples():
@@ -486,7 +476,7 @@ def test_point_serialization():
     assert _pt(f7, 1, 2).to_json() == [1, 2]
     p = ConicParams(f7, 1, 2)
     assert p.to_json() == {"field": {"p": 7, "d": 1, "modulus": [0, 1]},
-                           "a": 1, "b": 2, "c": 3}
+                           "a": 1, "b": 2}
 
 
 def _four_gather_character(spec, i, j, k):

@@ -254,6 +254,47 @@ def test_closed_row_counts_nonnegative_and_normalized(params, data):
     assert row.sum() == class_size(ci, params) * class_size(cj, params)
 
 
+# the walk depends on q alone: the closed form reads no weight, and a finite
+# nonzero step s relabels the step-1 walk by i -> s*i.  Both tests compare
+# against the unit weights, so a closed form that reads a fails them; the
+# weights (g, g), g a nonsquare, also catch one that reads only chi(a)
+def _weight_cases(spec):
+    g = smallest_nonsquare(spec).idx
+    return [(g, g), seeded_weights(spec, 1), seeded_weights(spec, 2)]
+
+
+# prime and extension fields, on both branches, three above ORACLE_CAP = 125
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (31, 1),
+                                 (127, 1), (13, 2), (7, 3)])
+def test_closed_row_reads_no_weight(p, d):
+    spec = make_field(p, d)
+    unit = ConicParams(spec, 1, 1)
+    classes = index_set(unit)
+    g = smallest_nonsquare(spec).idx
+    steps = [classes[0], classes[1], classes[g], classes[-1], classes[spec.q // 2]]
+    for a, b in _weight_cases(spec):
+        weighted = ConicParams(spec, a, b)
+        for step in steps:
+            assert np.array_equal(closed_row(weighted, classes, step),
+                                  closed_row(unit, classes, step)), (a, b, step)
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (31, 1),
+                                 (61, 1), (5, 3), (7, 3)])
+def test_step_s_counts_are_the_step_1_counts_relabelled(p, d):
+    spec = make_field(p, d)
+    unit = ConicParams(spec, 1, 1)
+    classes = index_set(unit)
+    step_1 = closed_row(unit, classes, classes[1])
+    weighted = ConicParams(spec, *_weight_cases(spec)[0])
+    for s in range(1, spec.q):
+        # class position i -> s*i on the finite classes; the isotropic class,
+        # last when q = 1 (mod 4), stays put
+        relabel = np.append(spec.mul(s, np.arange(spec.q)), np.arange(spec.q, len(classes)))
+        step_s = closed_row(weighted, classes, classes[s])
+        assert np.array_equal(step_s[np.ix_(relabel, relabel)], step_1), s
+
+
 # sha256 of the little-endian int64 counts of build_table(params,
 # published_isotropic_row=True), recorded when closed_row still built one
 # row per call

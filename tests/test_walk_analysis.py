@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -569,6 +570,18 @@ def test_minorization_exact_while_the_power_denominator_is_below_2_53():
         exact, measured = minorization_constant(k, haar(params), 6)
         assert (exact is not None) == exact_expected, q
         assert measured >= 1 / (3 * q)
+
+
+def test_minorization_power_past_2_53_never_builds_n_s_to_the_m():
+    # GF(3): N_s = 4, so N_s^m has 2m + 1 bits; at m = 10^12 that int would
+    # take 250 GB, while the float power of the 3 x 3 step matrix takes microseconds
+    params = ConicParams(make_prime_field(3), 1, 1)
+    k, pi = kernel_for_step(params), haar(params)
+    start = time.perf_counter()
+    exact, measured = minorization_constant(k, pi, 10 ** 12)
+    assert time.perf_counter() - start < 0.5
+    assert exact is None
+    assert measured == minorization_constant(k, pi, 10 ** 6)[1]
 
 
 def test_minorization_reference_values():
