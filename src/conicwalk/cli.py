@@ -39,7 +39,6 @@ import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__
 from .conic_geometry import ClassIndex, ConicParams, ORACLE_CAP
@@ -149,6 +148,7 @@ def _sink(out: str | None):
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_INTS = frozenset((int,))
 
 
 @functools.cache
@@ -161,7 +161,9 @@ def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, but each
     list of plain scalars goes through one call of json's C encoder (json's
     own ``indent`` selects the pure-Python one), kept one per indent level,
-    its separator carrying the indentation."""
+    its separator carrying the indentation.  A list of plain ints (exact
+    type, so no bools) is joined from the text of each distinct value,
+    computed once."""
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
         items = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
@@ -169,6 +171,9 @@ def _json_text(obj, indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
+    if _INTS.issuperset(map(type, obj)):
+        text = {v: str(v) for v in set(obj)}
+        return "[" + inner + ("," + inner).join(map(text.__getitem__, obj)) + indent + "]"
     if not _JSON_SCALARS.issuperset(map(type, obj)):
         return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + indent + "]"
     return "[" + inner + _list_encoder(inner)(obj)[1:-1] + indent + "]"
@@ -396,7 +401,7 @@ def couple(p, d, out, s, start, trials, seed, hist_out):
     payload = stats.to_json()
     _emit_json({"coupling": payload}, out)
     if hist_out:
-        hist = zip(np.bincount(stats.times).tolist(), payload["tail"])
+        hist = zip(stats.hist.tolist(), payload["tail"])
         lines = [_csv_line((t, n, _fmt_float(tail))) for t, (n, tail) in enumerate(hist)]
         _emit_csv(["t", "count", "empirical_tail"], ["".join(lines)], hist_out)
     _note(f"coupling q={params.q}: {trials} trials, mean T = {stats.mean_time:.2f}")

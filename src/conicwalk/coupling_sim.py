@@ -21,8 +21,9 @@ T + n; step n of an MC-TV trial uses n - 1.  The trial index t fills the high
 MC-TV step n > 2^32 would read trial t + 1: trial counts and MC-TV steps stop
 at ``TRIAL_LIMIT`` = 2^32.  Draws depend only on (s, t), so
 batches are reproducible and order-independent, and walking a coupling
-batch in blocks of ``TRIAL_BLOCK`` trials, and of those only the pairs still
-apart, changes no draw.  The MC-TV bootstrap uses numpy's PCG64.
+batch in blocks of ``TRIAL_BLOCK`` trials, of those only the pairs still
+apart, and those in time blocks of several steps drawn at once, changes no
+draw.  The MC-TV bootstrap uses numpy's PCG64.
 """
 
 from __future__ import annotations
@@ -146,7 +147,16 @@ class _Lockstep:
     def meeting_times(self, x0: int, trials: np.ndarray,
                       marginal_steps: tuple[int, ...]) -> tuple[np.ndarray, dict]:
         """Meeting times of the trials' chain pairs, and per step in
-        ``marginal_steps`` the stationary chain's class counts."""
+        ``marginal_steps`` the stationary chain's class counts.
+
+        The walk goes in time blocks of h steps: one ``_mix`` call draws the
+        uniforms of all h steps of every pair still walking, each step is a
+        guide search and a meet test, and the pairs that met leave once per
+        block (a pair that met mid-block walks on to its end, which changes
+        no first meeting).  h = 1 while marginals remain to count or many
+        pairs walk; as pairs meet, h grows to TRIAL_BLOCK // pairs, at most
+        n // 4, and never past the step limit.
+        """
         n = self.n
         base = self.bases(trials)
         y = self.step(np.full(trials.size, n, dtype=np.int64), base + _leap(1))
@@ -164,22 +174,32 @@ class _Lockstep:
         while live.size or t < horizon:
             if live.size and t >= COALESCENCE_STEP_LIMIT:
                 raise WalkTimeout(f"no coalescence within {COALESCENCE_STEP_LIMIT} steps")
-            t += 1
             w = live.size
-            b = base[live] + _leap(2 * t)  # uniforms 2t - 1 (x) and 2t (y)
-            states = [b, b + _GAMMA]
-            if horizon:  # met pairs move while marginals remain
-                states.append(base[met] + _leap(times[met] + t + 1))
-            xy = self.step(xy, np.concatenate(states))
-            if t in marg:
-                marg[t] += np.bincount(xy[w:], minlength=n)
-            times[live] = t  # a pair still walking gets a later time
+            h = 1 if t < horizon else max(1, min(TRIAL_BLOCK // w, n // 4,
+                                                 COALESCENCE_STEP_LIMIT - t))
+            # uniforms 2s - 1 (x) and 2s (y) of steps s = t + 1 .. t + h
+            leaps = _leap(np.arange(2 * t + 2, 2 * t + 2 * h + 2, dtype=np.uint64))
+            u = (leaps.reshape(h, 2, 1) + base[live]).reshape(h, 2 * w)
+            if t < horizon:  # met pairs move while marginals remain
+                u = np.concatenate([u, (base[met] + _leap(times[met] + t + 2))[None]], axis=1)
+            u = _mix(u)
+            meets = np.empty((h, w), dtype=bool)
+            for j in range(h):
+                xy = self.table.search(xy, u[j])
+                np.equal(xy[:w], xy[w:2 * w], out=meets[j])
+                if t + j + 1 in marg:
+                    marg[t + j + 1] += np.bincount(xy[w:], minlength=n)
+            # steps left in the block at a pair's first meeting, 0 if none; at
+            # h = 1, where up to 2^14 pairs walk, the meet test itself
+            left = meets[0] if h == 1 else (meets * np.arange(h, 0, -1)[:, None]).max(axis=0)
+            times[live] = t + h + 1 - left  # a pair still walking gets a later time
+            t += h
             pairs = xy[:2 * w].reshape(2, w)
-            keep = (pairs[0] != pairs[1]).nonzero()[0]
+            keep = (left == 0).nonzero()[0]
             if t >= horizon:  # no marginal left to count: met pairs stop
                 met, xy = met[:0], pairs.take(keep, axis=1).ravel()
             else:
-                hit = (pairs[0] == pairs[1]).nonzero()[0]
+                hit = left.nonzero()[0]
                 met = np.concatenate([met, live[hit]])
                 xy = np.concatenate([pairs.take(keep, axis=1).ravel(), xy[2 * w:], pairs[1, hit]])
             live = live[keep]
@@ -203,34 +223,38 @@ def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
 
 @dataclass
 class CouplingStats:
-    """Per-trial coalescence times of a seeded coupling batch."""
+    """Per-trial coalescence times of a seeded coupling batch, and their
+    histogram: ``hist[t]`` trials met at step t."""
 
     start: str
     step: str
     trials: int
     seed: int
     times: list[int]
+    hist: np.ndarray = field(repr=False, compare=False)
     marginal_counts: dict = field(default_factory=dict)
 
     @property
     def mean_time(self) -> float:
-        return sum(self.times) / len(self.times)
+        return int(self.hist @ np.arange(self.hist.size)) / self.trials
 
     def tail(self, t: int) -> float:
         """Empirical P(T > t)."""
-        return sum(1 for v in self.times if v > t) / self.trials
+        return int(self.hist[max(t + 1, 0):].sum()) / self.trials
 
     def tail_curve(self) -> list[float]:
-        return ((self.trials - np.cumsum(np.bincount(self.times))) / self.trials).tolist()
+        return ((self.trials - np.cumsum(self.hist)) / self.trials).tolist()
 
     def tail_stderr(self, t: int) -> float:
         p = self.tail(t)
         return (p * (1.0 - p) / self.trials) ** 0.5
 
     def to_json(self) -> dict:
-        return {**vars(self), "stream": STREAM, "mean_time": self.mean_time,
-                "tail": self.tail_curve(),
-                "marginal_counts": {str(t): c for t, c in self.marginal_counts.items()}}
+        payload = {**vars(self), "stream": STREAM, "mean_time": self.mean_time,
+                   "tail": self.tail_curve(),
+                   "marginal_counts": {str(t): c for t, c in self.marginal_counts.items()}}
+        del payload["hist"]
+        return payload
 
 
 def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
@@ -247,12 +271,14 @@ def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
     blocks = (np.arange(lo, min(lo + TRIAL_BLOCK, trials), dtype=np.uint64)
               for lo in range(0, trials, TRIAL_BLOCK))  # small arrays, same draws
     runs = [walk.meeting_times(k.position(start), ids, steps) for ids in blocks]
+    times = np.concatenate([times for times, _ in runs])
     return CouplingStats(
         start=start.label(),
         step=k.step.label(),
         trials=trials,
         seed=seed,
-        times=np.concatenate([times for times, _ in runs]).tolist(),
+        times=times.tolist(),
+        hist=np.bincount(times),
         marginal_counts={t: sum(marg[t] for _, marg in runs).tolist() for t in steps},
     )
 

@@ -360,8 +360,16 @@ def test_monte_carlo_outputs_match_recorded_files(args):
 
 _json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
                          st.floats(), st.floats().map(np.float64), st.text(max_size=8))
+# lists of plain ints take their own path in the writer: repeated small
+# values, big ones, bools mixed in (json writes those as true/false), tuples
+_json_int_list = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                          max_size=200)
+_json_int_lists = st.one_of(
+    _json_int_list, _json_int_list.map(tuple),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=200),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=200).map(tuple))
 _json_value = st.recursive(
-    _json_scalar,
+    st.one_of(_json_scalar, _json_int_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),

@@ -245,6 +245,28 @@ def test_stream_matches_one_draw_at_a_time_reference():
             assert stats.marginal_counts[s] == want, (k.q, s)
 
 
+@pytest.fixture
+def mix_heights(monkeypatch):
+    """The leading length of every array the walk draws uniforms for: the
+    stationary start's trial count, then each time block's height."""
+    from conicwalk import coupling_sim
+
+    mix, heights = coupling_sim._mix, []
+    monkeypatch.setattr(coupling_sim, "_mix", lambda z: heights.append(len(z)) or mix(z))
+    return heights
+
+
+def test_plain_walk_matches_one_draw_at_a_time_reference(mix_heights):
+    # the path `couple` runs: with no marginals, few pairs left walk in time
+    # blocks of up to n // 4 steps (one at q = 7, where n // 4 = 1)
+    heights = mix_heights
+    for k, pi, x0 in _reference_walks():
+        heights.clear()
+        stats = run_coupling_trials(k, pi, k.classes[x0], trials=300, seed=42)
+        assert stats.times == [_reference_trial(k, pi, x0, 42, t, 0)[0] for t in range(300)], k.q
+        assert max(heights[1:]) == max(1, k.size // 4), k.q
+
+
 def test_monte_carlo_counts_match_one_draw_at_a_time_reference():
     key = int(np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
     for k, pi, x0 in _reference_walks():
@@ -417,6 +439,51 @@ def test_coalescence_step_limit_raises(monkeypatch):
     monkeypatch.setattr(coupling_sim, "COALESCENCE_STEP_LIMIT", 3)
     with pytest.raises(WalkTimeout, match="within 3 steps"):
         run_coupling_trials(k, haar(params), k.classes[0], trials=50, seed=1)
+
+
+@pytest.mark.parametrize("limit", [5, 20])
+def test_coalescence_step_limit_inside_a_time_block(monkeypatch, mix_heights, limit):
+    # at q = 61 the blocks of 50 pairs are n // 4 = 15 steps high: the walk
+    # draws exactly ``limit`` steps, not up to the end of the block
+    from conicwalk import WalkTimeout, coupling_sim
+
+    params = ConicParams(make_prime_field(61), 1, 1)
+    k = kernel_for_step(params)
+    monkeypatch.setattr(coupling_sim, "COALESCENCE_STEP_LIMIT", limit)
+    with pytest.raises(WalkTimeout, match=f"within {limit} steps"):
+        run_coupling_trials(k, haar(params), k.classes[0], trials=50, seed=1)
+    assert sum(mix_heights[1:]) == limit
+
+
+def test_coalescence_step_limit_next_to_the_last_meeting(monkeypatch):
+    # the last pair meets at step T inside a block: a limit of T - 1 stops
+    # the walk, and a limit of T or more changes no meeting time
+    from conicwalk import WalkTimeout, coupling_sim
+
+    params = ConicParams(make_prime_field(61), 1, 1)
+    k, pi = kernel_for_step(params), haar(params)
+    plain = run_coupling_trials(k, pi, k.classes[0], trials=50, seed=1)
+    top = max(plain.times)
+    assert top % 15 > 1  # T - 1 and T lie in one block
+    monkeypatch.setattr(coupling_sim, "COALESCENCE_STEP_LIMIT", top - 1)
+    with pytest.raises(WalkTimeout, match=f"within {top - 1} steps"):
+        run_coupling_trials(k, pi, k.classes[0], trials=50, seed=1)
+    for limit in (top, top + 1):
+        monkeypatch.setattr(coupling_sim, "COALESCENCE_STEP_LIMIT", limit)
+        assert run_coupling_trials(k, pi, k.classes[0], trials=50, seed=1).times == plain.times
+
+
+def test_stats_read_from_the_histogram_equal_the_per_trial_counts(setup13):
+    _, k, pi = setup13
+    stats = run_coupling_trials(k, pi, k.classes[0], trials=3000, seed=5)
+    times = stats.times
+    assert stats.hist.tolist() == [times.count(t) for t in range(max(times) + 1)]
+    assert stats.mean_time == sum(times) / len(times)
+    for t in (-3, -1, 0, 1, 7, max(times) - 1, max(times), max(times) + 4):
+        p = sum(1 for v in times if v > t) / stats.trials
+        assert stats.tail(t) == p
+        assert stats.tail_stderr(t) == (p * (1.0 - p) / stats.trials) ** 0.5
+    assert stats.tail_curve() == [stats.tail(t) for t in range(max(times) + 1)]
 
 
 def test_monte_carlo_tv_rejects_negative_t(setup7):
