@@ -337,7 +337,7 @@ def kernel(p, d, out, s, fmt):
 @cli.command("stationary")
 @field_options
 @step_option
-@click.option("--method", type=click.Choice(["auto", "power", "exact"]), default="auto",
+@click.option("--method", type=click.Choice(["exact", "power"]), default="exact",
               show_default=True)
 def stationary_cmd(p, d, out, s, method):
     """Stationary distribution versus the class-size (Haar) distribution."""

@@ -14,16 +14,16 @@ Uniforms follow the layout ``STREAM``, echoed in every coupling and MC-TV
 payload: in splitmix64-trial-counter/v1, uniform j of trial t under seed s
 is (z >> 11) * 2^-53 for z the SplitMix64 output number (t << 32) + j + 1
 from the state SeedSequence(s).generate_state(1, uint64)[0].  A coupling
-trial meeting at step T draws the stationary start with uniform 0, steps
-n <= T with uniforms 2n - 1 (fixed chain) and 2n, and steps n > T with
-T + n; step n of an MC-TV trial uses n - 1.  The trial index t fills the high
-32 bits of the output number, so trial t + 2^32 would repeat trial t, and
-MC-TV step n > 2^32 would read trial t + 1: trial counts and MC-TV steps stop
-at ``TRIAL_LIMIT`` = 2^32.  Draws depend only on (s, t), so
-batches are reproducible and order-independent, and walking a coupling
-batch in blocks of ``TRIAL_BLOCK`` trials, of those only the pairs still
-apart, and those in time blocks of several steps drawn at once, changes no
-draw.  The MC-TV bootstrap uses numpy's PCG64.
+trial meeting at step T draws the stationary start with uniform 0 and steps
+n <= T with uniforms 2n - 1 (fixed chain) and 2n; step n of an MC-TV trial
+uses n - 1.  The trial index t fills the high 32 bits of the output number,
+so trial t + 2^32 would repeat trial t, and MC-TV step n > 2^32 would read
+trial t + 1: trial counts and MC-TV steps stop at ``TRIAL_LIMIT`` = 2^32.
+Draws depend only on (s, t), so batches are reproducible and
+order-independent, and walking a coupling batch in blocks of
+``TRIAL_BLOCK`` trials, of those only the pairs still apart, and those in
+time blocks of several steps drawn at once, changes no draw.  The MC-TV
+bootstrap uses numpy's PCG64.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z
-
-
-def _splitmix64(key: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """53-bit integer U of SplitMix64 output number ``z`` (from 1)."""
-    return _mix(z * _GAMMA + key)
 
 
 def _leap(c) -> np.ndarray:
@@ -144,66 +139,47 @@ class _Lockstep:
         """Next class of walkers at ``rows``, from SplitMix64 ``states`` (overwritten)."""
         return self.table.search(rows, _mix(states))
 
-    def meeting_times(self, x0: int, trials: np.ndarray,
-                      marginal_steps: tuple[int, ...]) -> tuple[np.ndarray, dict]:
-        """Meeting times of the trials' chain pairs, and per step in
-        ``marginal_steps`` the stationary chain's class counts.
+    def meeting_times(self, x0: int, trials: np.ndarray) -> np.ndarray:
+        """Meeting times of the trials' chain pairs.
 
         The walk goes in time blocks of h steps: one ``_mix`` call draws the
         uniforms of all h steps of every pair still walking, each step is a
         guide search and a meet test, and the pairs that met leave once per
         block (a pair that met mid-block walks on to its end, which changes
-        no first meeting).  h = 1 while marginals remain to count or many
-        pairs walk; as pairs meet, h grows to TRIAL_BLOCK // pairs, at most
-        n // 4, and never past the step limit.
+        no first meeting).  h = 1 while many pairs walk; as pairs meet, h
+        grows to TRIAL_BLOCK // pairs, at most n // 4, and never past the
+        step limit.
         """
         n = self.n
         base = self.bases(trials)
         y = self.step(np.full(trials.size, n, dtype=np.int64), base + _leap(1))
         times = np.zeros(trials.size, dtype=np.int64)
-        marg = {t: np.bincount(y, minlength=n) if t == 0 else np.zeros(n, dtype=np.int64)
-                for t in marginal_steps}
-        horizon = max(marginal_steps, default=0)
-        # one array of classes: the pairs still walking (positions ``live``),
-        # fixed chains then stationary chains, and while marginals remain to
-        # count, the met pairs (positions ``met``), which move as one chain
+        # the classes of the pairs still walking (positions ``live``): fixed
+        # chains, then stationary chains
         live = np.flatnonzero(y != x0)
-        met = np.flatnonzero(y == x0) if horizon else live[:0]
-        xy = np.concatenate([np.full(live.size, x0), y[live], y[met]])
+        xy = np.concatenate([np.full(live.size, x0), y[live]])
         t = 0
-        while live.size or t < horizon:
-            if live.size and t >= COALESCENCE_STEP_LIMIT:
+        while live.size:
+            if t >= COALESCENCE_STEP_LIMIT:
                 raise WalkTimeout(f"no coalescence within {COALESCENCE_STEP_LIMIT} steps")
             w = live.size
-            h = 1 if t < horizon else max(1, min(TRIAL_BLOCK // w, n // 4,
-                                                 COALESCENCE_STEP_LIMIT - t))
+            h = max(1, min(TRIAL_BLOCK // w, n // 4, COALESCENCE_STEP_LIMIT - t))
             # uniforms 2s - 1 (x) and 2s (y) of steps s = t + 1 .. t + h
             leaps = _leap(np.arange(2 * t + 2, 2 * t + 2 * h + 2, dtype=np.uint64))
-            u = (leaps.reshape(h, 2, 1) + base[live]).reshape(h, 2 * w)
-            if t < horizon:  # met pairs move while marginals remain
-                u = np.concatenate([u, (base[met] + _leap(times[met] + t + 2))[None]], axis=1)
-            u = _mix(u)
+            u = _mix((leaps.reshape(h, 2, 1) + base[live]).reshape(h, 2 * w))
             meets = np.empty((h, w), dtype=bool)
             for j in range(h):
                 xy = self.table.search(xy, u[j])
-                np.equal(xy[:w], xy[w:2 * w], out=meets[j])
-                if t + j + 1 in marg:
-                    marg[t + j + 1] += np.bincount(xy[w:], minlength=n)
+                np.equal(xy[:w], xy[w:], out=meets[j])
             # steps left in the block at a pair's first meeting, 0 if none; at
             # h = 1, where up to 2^14 pairs walk, the meet test itself
             left = meets[0] if h == 1 else (meets * np.arange(h, 0, -1)[:, None]).max(axis=0)
             times[live] = t + h + 1 - left  # a pair still walking gets a later time
             t += h
-            pairs = xy[:2 * w].reshape(2, w)
             keep = (left == 0).nonzero()[0]
-            if t >= horizon:  # no marginal left to count: met pairs stop
-                met, xy = met[:0], pairs.take(keep, axis=1).ravel()
-            else:
-                hit = left.nonzero()[0]
-                met = np.concatenate([met, live[hit]])
-                xy = np.concatenate([pairs.take(keep, axis=1).ravel(), xy[2 * w:], pairs[1, hit]])
+            xy = xy.reshape(2, w).take(keep, axis=1).ravel()
             live = live[keep]
-        return times, marg
+        return times
 
 
 def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
@@ -216,9 +192,8 @@ def coupled_run(i: ClassIndex, k: Kernel, pi: Distribution, seed) -> int:
     s, trial = seed if isinstance(seed, tuple) else (seed, 0)
     if not 0 <= trial < TRIAL_LIMIT:
         raise ValueError(f"trial index must be in [0, 2^32), got {trial}")
-    times, _ = _Lockstep(k, pi, s).meeting_times(
-        k.position(i), np.array([trial], dtype=np.uint64), ())
-    return int(times[0])
+    x0, ids = k.position(i), np.array([trial], dtype=np.uint64)
+    return int(_Lockstep(k, pi, s).meeting_times(x0, ids)[0])
 
 
 @dataclass
@@ -232,7 +207,6 @@ class CouplingStats:
     seed: int
     times: list[int]
     hist: np.ndarray = field(repr=False, compare=False)
-    marginal_counts: dict = field(default_factory=dict)
 
     @property
     def mean_time(self) -> float:
@@ -251,27 +225,20 @@ class CouplingStats:
 
     def to_json(self) -> dict:
         payload = {**vars(self), "stream": STREAM, "mean_time": self.mean_time,
-                   "tail": self.tail_curve(),
-                   "marginal_counts": {str(t): c for t, c in self.marginal_counts.items()}}
+                   "tail": self.tail_curve()}
         del payload["hist"]
         return payload
 
 
 def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
-                        trials: int, seed: int,
-                        marginal_steps: tuple[int, ...] = ()) -> CouplingStats:
-    """Independent coupled runs; trial t is ``coupled_run`` with seed (seed, t).
-
-    ``marginal_steps`` additionally records the stationary chain's class at
-    the requested steps (it should stay pi-distributed for all t).
-    """
+                        trials: int, seed: int) -> CouplingStats:
+    """Independent coupled runs; trial t is ``coupled_run`` with seed (seed, t)."""
     if not 1 <= trials <= TRIAL_LIMIT:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
-    walk, steps = _Lockstep(k, pi, seed), tuple(sorted(set(marginal_steps)))
+    walk = _Lockstep(k, pi, seed)
     blocks = (np.arange(lo, min(lo + TRIAL_BLOCK, trials), dtype=np.uint64)
               for lo in range(0, trials, TRIAL_BLOCK))  # small arrays, same draws
-    runs = [walk.meeting_times(k.position(start), ids, steps) for ids in blocks]
-    times = np.concatenate([times for times, _ in runs])
+    times = np.concatenate([walk.meeting_times(k.position(start), ids) for ids in blocks])
     return CouplingStats(
         start=start.label(),
         step=k.step.label(),
@@ -279,7 +246,6 @@ def run_coupling_trials(k: Kernel, pi: Distribution, start: ClassIndex,
         seed=seed,
         times=times.tolist(),
         hist=np.bincount(times),
-        marginal_counts={t: sum(marg[t] for _, marg in runs).tolist() for t in steps},
     )
 
 

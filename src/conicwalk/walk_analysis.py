@@ -312,12 +312,12 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
     )
 
 
-def stationary(k: Kernel, method: str = "auto") -> Distribution:
+def stationary(k: Kernel, method: str = "exact") -> Distribution:
     """The unique pi with pi K = pi: the class-size law under an O(q^2)
-    integer certificate ("auto" and "exact", at every q), or power iteration
-    to a 1e-13 residual ("power", the float cross-check)."""
+    integer certificate ("exact", at every q), or power iteration to a 1e-13
+    residual ("power", the float cross-check)."""
     k.require_ergodic()
-    if method in ("auto", "exact"):
+    if method == "exact":
         # pi_j = N_j / sum(N) satisfies pi K = pi iff sum_i N_i c[i, j] = N_s N_j;
         # the kernel is ergodic, so it is then the unique stationary law
         if not np.array_equal(k.sizes @ k.step_counts, k.step_size * k.sizes):

@@ -3,7 +3,6 @@ import bisect
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats as sps
 
 from conicwalk import (
     ClassIndex,
@@ -103,20 +102,6 @@ def test_coalescence_well_before_proven_bound(setup7):
     assert stats.tail(bound) <= eps + 3 * stats.tail_stderr(bound)
 
 
-def test_stationary_chain_marginal_is_pi(setup7):
-    _, k, pi = setup7
-    trials = 30_000
-    stats = run_coupling_trials(k, pi, k.classes[0], trials=trials, seed=19,
-                                marginal_steps=(1, 5, 10))
-    crit = sps.chi2.ppf(0.999, df=k.size - 1)
-    for t in (1, 5, 10):
-        obs = np.array(stats.marginal_counts[t], dtype=float)
-        assert obs.sum() == trials
-        expected = pi.probs * trials
-        chi2 = float(((obs - expected) ** 2 / expected).sum())
-        assert chi2 < crit, f"t={t}: chi2={chi2:.1f} >= {crit:.1f}"
-
-
 # ---------------------------------------------------------------------------
 # monte carlo tv
 # ---------------------------------------------------------------------------
@@ -180,11 +165,11 @@ def _splitmix_uniform(key, trial, j):
 def test_splitmix64_matches_published_outputs():
     # the first outputs of the reference SplitMix64 (Vigna's splitmix64.c)
     # from the state 1234567; the stream keeps their top 53 bits
-    from conicwalk.coupling_sim import _splitmix64
+    from conicwalk.coupling_sim import _GAMMA, _mix
 
     published = [6457827717110365317, 3203168211198807973, 9817491932198370423,
                  4593380528125082431, 16408922859458223821]
-    got = _splitmix64(np.array([1234567], dtype=np.uint64), np.arange(1, 6, dtype=np.uint64))
+    got = _mix(np.arange(1, 6, dtype=np.uint64) * _GAMMA + np.uint64(1234567))
     assert got.tolist() == [v >> 11 for v in published]
     assert [_splitmix_uniform(1234567, 0, j) for j in range(5)] == \
         [(v >> 11) * 2.0**-53 for v in published]
@@ -197,9 +182,8 @@ def _cdf_lists(k, pi):
     return rows
 
 
-def _reference_trial(k, pi, x0, seed, trial, horizon):
-    """One coupling trial stepped one draw at a time: (meeting time, the
-    stationary chain's class at steps 0..max(T, horizon))."""
+def _reference_trial(k, pi, x0, seed, trial):
+    """The meeting time of one coupling trial stepped one draw at a time."""
     key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
     cdf = _cdf_lists(k, pi)
 
@@ -207,18 +191,11 @@ def _reference_trial(k, pi, x0, seed, trial, horizon):
         return bisect.bisect_right(cdf[row], _splitmix_uniform(key, trial, j))
 
     x, y = x0, draw(k.size, 0)
-    met = 0 if x == y else None
-    path = [y]
     n = 0
-    while met is None or n < horizon:
+    while x != y:
         n += 1
-        if met is None:
-            x, y = draw(x, 2 * n - 1), draw(y, 2 * n)
-            met = n if x == y else None
-        else:
-            y = draw(y, met + n)
-        path.append(y)
-    return met, path
+        x, y = draw(x, 2 * n - 1), draw(y, 2 * n)
+    return n
 
 
 # (p, d, a, b, start position): q = 7; q = 61, the couple_long field of the
@@ -233,18 +210,6 @@ def _reference_walks():
         yield kernel_for_step(params), haar(params), x0
 
 
-def test_stream_matches_one_draw_at_a_time_reference():
-    steps = (0, 3, 10)
-    for k, pi, x0 in _reference_walks():
-        stats = run_coupling_trials(k, pi, k.classes[x0], trials=300, seed=42,
-                                    marginal_steps=steps)
-        ref = [_reference_trial(k, pi, x0, 42, t, max(steps)) for t in range(300)]
-        assert stats.times == [met for met, _ in ref], k.q
-        for s in steps:
-            want = np.bincount([path[s] for _, path in ref], minlength=k.size).tolist()
-            assert stats.marginal_counts[s] == want, (k.q, s)
-
-
 @pytest.fixture
 def mix_heights(monkeypatch):
     """The leading length of every array the walk draws uniforms for: the
@@ -257,13 +222,13 @@ def mix_heights(monkeypatch):
 
 
 def test_plain_walk_matches_one_draw_at_a_time_reference(mix_heights):
-    # the path `couple` runs: with no marginals, few pairs left walk in time
-    # blocks of up to n // 4 steps (one at q = 7, where n // 4 = 1)
+    # few pairs left walk in time blocks of up to n // 4 steps (one at q = 7,
+    # where n // 4 = 1)
     heights = mix_heights
     for k, pi, x0 in _reference_walks():
         heights.clear()
         stats = run_coupling_trials(k, pi, k.classes[x0], trials=300, seed=42)
-        assert stats.times == [_reference_trial(k, pi, x0, 42, t, 0)[0] for t in range(300)], k.q
+        assert stats.times == [_reference_trial(k, pi, x0, 42, t) for t in range(300)], k.q
         assert max(heights[1:]) == max(1, k.size // 4), k.q
 
 
@@ -290,24 +255,14 @@ def _guide_search(cdf, us):
 
 
 def test_trials_across_the_block_edge_match_the_reference():
-    # trials 2^14 - 2 .. 2^14 + 2 straddle the first block edge; the marginal
-    # counts of the full batch less those of its first 2^14 - 2 trials are
-    # the counts of those five trials alone
+    # trials 2^14 - 2 .. 2^14 + 2 straddle the first block edge
     from conicwalk.coupling_sim import TRIAL_BLOCK
 
-    steps = (0, 3, 10)
     edge = range(TRIAL_BLOCK - 2, TRIAL_BLOCK + 3)
     for k, pi, x0 in list(_reference_walks())[::2]:
-        full = run_coupling_trials(k, pi, k.classes[x0], trials=TRIAL_BLOCK + 3, seed=42,
-                                   marginal_steps=steps)
-        head = run_coupling_trials(k, pi, k.classes[x0], trials=TRIAL_BLOCK - 2, seed=42,
-                                   marginal_steps=steps)
-        ref = [_reference_trial(k, pi, x0, 42, t, max(steps)) for t in edge]
-        assert full.times[TRIAL_BLOCK - 2:] == [met for met, _ in ref], k.q
-        for s in steps:
-            want = np.bincount([path[s] for _, path in ref], minlength=k.size)
-            got = np.array(full.marginal_counts[s]) - head.marginal_counts[s]
-            assert got.tolist() == want.tolist(), (k.q, s)
+        full = run_coupling_trials(k, pi, k.classes[x0], trials=TRIAL_BLOCK + 3, seed=42)
+        assert full.times[TRIAL_BLOCK - 2:] == [_reference_trial(k, pi, x0, 42, t)
+                                                for t in edge], k.q
 
 
 def test_guide_search_on_bucket_edges():
@@ -407,17 +362,6 @@ def test_stream_known_answer_q7_seed42(setup7):
     stats = run_coupling_trials(k, pi, k.classes[0], trials=12, seed=42)
     assert stats.times == [8, 7, 3, 5, 17, 4, 2, 18, 6, 5, 3, 9]
     assert stats.to_json()["stream"] == "splitmix64-trial-counter/v1"
-
-
-def test_marginal_rows_sum_to_trials_past_every_meeting(setup7):
-    _, k, pi = setup7
-    plain = run_coupling_trials(k, pi, k.classes[0], trials=2000, seed=31)
-    top = max(plain.times)
-    steps = (1, top, top + 5)
-    stats = run_coupling_trials(k, pi, k.classes[0], trials=2000, seed=31, marginal_steps=steps)
-    assert stats.times == plain.times
-    for s in steps:
-        assert sum(stats.marginal_counts[s]) == 2000
 
 
 def test_non_ergodic_kernel_is_rejected_before_walking(setup7):
