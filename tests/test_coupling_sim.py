@@ -210,6 +210,17 @@ def _reference_walks():
         yield kernel_for_step(params), haar(params), x0
 
 
+def test_stream_matches_one_draw_at_a_time_reference():
+    # one pair walked alone through coupled_run, at trial indices inside the
+    # first block, past it and at the last index the counter allows
+    from conicwalk.coupling_sim import TRIAL_BLOCK, TRIAL_LIMIT
+
+    trials = [*range(40), TRIAL_BLOCK, 2**20 + 7, TRIAL_LIMIT - 1]
+    for k, pi, x0 in _reference_walks():
+        got = [coupled_run(k.classes[x0], k, pi, (42, t)) for t in trials]
+        assert got == [_reference_trial(k, pi, x0, 42, t) for t in trials], k.q
+
+
 @pytest.fixture
 def mix_heights(monkeypatch):
     """The leading length of every array the walk draws uniforms for: the
