@@ -43,7 +43,7 @@ import click
 from . import __version__
 from .conic_geometry import ClassIndex, ConicParams, ORACLE_CAP
 from .errata import errata_report
-from .errors import CapExceeded, ConfigError, ConicwalkError, NotErgodic
+from .errors import CapExceeded, ConfigError, ConicwalkError, NotErgodic, NotOddPrime
 from .finite_field import ARITHMETIC_CAP, make_field
 from .hypergroup import build_table, oracle_table, verify_axioms
 from .walk_analysis import (
@@ -66,7 +66,7 @@ OUTPUT_PATHS = frozenset(("out", "errata_out", "hist_out"))
 def _params(p: int, d: int, a: int = 1, b: int = 1) -> ConicParams:
     try:
         spec = make_field(p, d)
-    except ConicwalkError as e:
+    except NotOddPrime as e:  # CapExceeded reaches main with its own message
         raise ConfigError(f"q must be an odd prime power: {e}") from e
     try:
         return ConicParams(spec, a, b)

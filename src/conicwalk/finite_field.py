@@ -25,13 +25,11 @@ use: ``add`` is the residue sum mod p at d = 1, extended one base-p digit at
 a time, and ``mul`` is read from exp/log.  The scalar ``FieldElement``
 addition and the closed-form discriminant read ``add``; ``mul`` serves the
 enumeration oracle, the trichotomy's quadrance grid and the table digests
-only.  Inside :meth:`FieldSpec.interned`, ``FieldElement`` arithmetic
-returns one shared element per index instead of a new object.
+only.
 """
 
 from __future__ import annotations
 
-import contextlib
 from functools import cached_property
 
 import numpy as np
@@ -140,8 +138,6 @@ class FieldSpec:
         self._neg_np: np.ndarray | None = None
         self._chi_np: np.ndarray | None = None
         self._sqrt_np: np.ndarray | None = None
-        self._interned: tuple[FieldElement, ...] | None = None  # see interned()
-        self._interned_depth = 0
 
     # -- identity ----------------------------------------------------------
 
@@ -191,29 +187,6 @@ class FieldSpec:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    @contextlib.contextmanager
-    def interned(self):
-        """Within the block, arithmetic returns one shared element per index
-        instead of building a new one per operation.  The shared elements
-        refer to the spec, so the spec holds them only while a block is open:
-        held for its whole life, that cycle would keep its (q, q) tables alive
-        until a full garbage collection.  Blocks nest, and the elements go
-        when the last one closes.  Not for a spec shared by threads while a
-        block is open."""
-        if not self._interned_depth:
-            self._interned = tuple(FieldElement(self, i) for i in range(self.q))
-        self._interned_depth += 1
-        try:
-            yield
-        finally:
-            self._interned_depth -= 1
-            if not self._interned_depth:
-                self._interned = None
-
-    def _element_at(self, idx: int) -> "FieldElement":
-        els = self._interned
-        return FieldElement(self, idx) if els is None else els[idx]
 
     def elements(self) -> list["FieldElement"]:
         return [FieldElement(self, i) for i in range(self.q)]
@@ -384,8 +357,8 @@ class FieldElement:
         return other
 
     # the hot arithmetic tests spec identity inline before falling back to
-    # _check, reads a built table without the call, and inlines _element_at:
-    # three frames fewer per operation in the scalar certification row
+    # _check and reads a built table without the call: two frames fewer per
+    # operation in the scalar certification row
 
     def __add__(self, other):
         spec = self.spec
@@ -393,8 +366,7 @@ class FieldElement:
             other = self._check(other)
         add = spec._add_np
         idx = (spec.add_table() if add is None else add).item(self.idx, other.idx)
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return FieldElement(spec, idx)
 
     def __sub__(self, other):
         spec = self.spec
@@ -402,26 +374,23 @@ class FieldElement:
             other = self._check(other)
         add = spec._add_np
         idx = (spec.add_table() if add is None else add).item(self.idx, spec._scalar[2][other.idx])
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return FieldElement(spec, idx)
 
     def __neg__(self):
-        return self.spec._element_at(self.spec.neg_idx(self.idx))
+        return FieldElement(self.spec, self.spec.neg_idx(self.idx))
 
     def __mul__(self, other):
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             other = self._check(other)
         exp, log, _ = spec._scalar
-        idx = exp[log[self.idx] + log[other.idx]]
-        els = spec._interned
-        return FieldElement(spec, idx) if els is None else els[idx]
+        return FieldElement(spec, exp[log[self.idx] + log[other.idx]])
 
     def __pow__(self, n: int):
-        return self.spec._element_at(self.spec.pow_idx(self.idx, n))
+        return FieldElement(self.spec, self.spec.pow_idx(self.idx, n))
 
     def inverse(self) -> "FieldElement":
-        return self.spec._element_at(self.spec.inv_idx(self.idx))
+        return FieldElement(self.spec, self.spec.inv_idx(self.idx))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -517,4 +486,4 @@ def sqrt(x: FieldElement) -> FieldElement | None:
     """The smaller square root of x in canonical order, or None for non-squares,
     from the cached table of the even powers of the primitive element."""
     r = x.spec.sqrt_idx(x.idx)
-    return None if r is None else x.spec._element_at(r)
+    return None if r is None else FieldElement(x.spec, r)

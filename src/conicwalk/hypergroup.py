@@ -14,10 +14,13 @@ they are additive and fix the formula Q = a x^2 + b y^2, so (u, v) and
 
 Both sources produce the same single representation: the int64 count array
 C[i,j,k] = n[i,j,k] * N_i * N_j (the number of translation pairs of class i
-by class j landing in class k) together with the class sizes N.  Every other
-view -- floats, ``Fraction`` values, CSV, JSON, axiom and equality checks --
-is derived from those integers, so exactness never depends on rational
-arithmetic in the hot path.
+by class j landing in class k) together with the class sizes N.  The closed
+form emits the per-point plane c[i, k] = C[i,j,k] / N_i, the convolution of a
+point of class i with class j, which is the walk's step matrix at j = s;
+``build_table`` scales each plane by N_i.  Every other view -- floats,
+``Fraction`` values, CSV, JSON, axiom and equality checks -- is derived from
+those integers, so exactness never depends on rational arithmetic in the hot
+path.
 
 For q = 1 (mod 4) the closed form follows the enumeration oracle where the
 commonly stated case analysis is wrong: the row of (isotropic, j) is uniform
@@ -280,42 +283,44 @@ def closed_row(
     cj: ClassIndex,
     published_isotropic_row: bool = False,
 ) -> np.ndarray:
-    """The closed-form count rows C[ci, cj, k] = n[ci, cj, k] * N_ci * N_cj over
-    k (int64, canonical class order), one per class ci of ``rows``, stacked.
-    One character call covers the (ci, k) grid of the finite nonzero rows;
-    the zero and isotropic rows and columns are set by index."""
+    """The closed-form per-point rows c[ci, k] = n[ci, cj, k] * N_cj over k
+    (int64, canonical class order), one per class ci of ``rows``, stacked:
+    the number of points of class cj that carry one fixed point of class ci
+    into class k.  For cj = s it is the walk's step matrix.  One character
+    call covers the (ci, k) grid of the finite nonzero rows; the zero and
+    isotropic rows and columns are set by index."""
     q, r = params.q, np.arange(len(rows))
     pos = np.array([q if c.is_isotropic else c.value.idx for c in rows], dtype=np.int64)
     out = np.zeros((len(rows), q + params.split), dtype=np.int64)
     if cj.is_zero:
         # n[ci, 0, k] = delta(ci, k)
-        out[r, pos] = [class_size(c, params) for c in rows]
+        out[r, pos] = 1
         return out
     j = q if cj.is_isotropic else cj.value.idx
     fin = (pos > 0) & (pos < q)
     if j < q:
         # finite i x finite j: n = (1 + chi(f)) / N over the finite classes k,
-        # N = N_i = N_j the size of every nonzero finite class
-        size = class_size(cj, params)
+        # N = N_j the size of every nonzero finite class
         chi = discriminant_character(params.spec, pos[fin, None], j, np.arange(q))
-        out[fin, :q] = (chi + 1) * size
+        out[fin, :q] = chi + 1
         if params.split:
             # the null cone: the origin when i = j, else the isotropic class
             same = pos[fin] == j
-            out[fin, 0] = np.where(same, size, 0)
-            out[fin, q] = np.where(same, 0, 2 * size)
+            out[fin, 0] = same
+            out[fin, q] = np.where(same, 0, 2)
     if params.split:
-        w = q - 1
         if j == q:
             # iso x iso: n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
-            out[pos == q, :q] = 2 * w
-            out[pos == q, q] = 2 * (q - 2) * w
-        # one isotropic side, the other the finite class f: n = 1/w off f; the
-        # stated variant puts mass on the zero class, the enumeration none
+            out[pos == q, :q] = 1
+            out[pos == q, q] = q - 2
+        # one isotropic side, the other the finite class f: n = 1/w off f, times
+        # N_iso = 2w or N_f = w; the stated variant puts mass on the zero class,
+        # the enumeration none
         one = fin if j == q else pos == q
-        out[one] = 2 * w
+        per_point = 2 if j == q else 1
+        out[one] = per_point
         out[r[one], pos[one] if j == q else j] = 0
-        out[one, 0] = 2 * w if published_isotropic_row else 0
+        out[one, 0] = per_point if published_isotropic_row else 0
     # n[0, cj, k] = delta(cj, k)
     out[pos == 0, j] = class_size(cj, params)
     return out
@@ -334,7 +339,7 @@ def structure_constant(
         if c not in classes:
             raise IndexInvalid(f"{c!r} is not a class over {params.spec!r}")
     row = closed_row(params, [i], j, published_isotropic_row=published_isotropic_row)[0]
-    return Fraction(int(row[classes.index(k)]), class_size(i, params) * class_size(j, params))
+    return Fraction(int(row[classes.index(k)]), class_size(j, params))
 
 
 def build_table(
@@ -349,9 +354,10 @@ def build_table(
         raise ValueError(f"unknown source {source!r}")
     classes = index_set(params)
     sizes = class_sizes(params)
-    # one call per column class j gives the plane C[:, j, :]
+    # one call per column class j gives the plane C[:, j, :] / N_i
     counts = np.stack(
         [closed_row(params, classes, cj, published_isotropic_row) for cj in classes], axis=1)
+    counts *= sizes[:, None, None]
     return StructureTable(params, classes, sizes, counts, "closed-form",
                           validate=not published_isotropic_row)
 

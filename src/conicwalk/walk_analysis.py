@@ -1,9 +1,9 @@
 """Random walk driven by a fixed class: kernel, stationarity, mixing.
 
 The kernel K(i, j) = n[i, s, j] is stored as the integer step matrix
-c[i, j] = C[i, s, j] / N_i, the number of points of the step circle that
-carry a fixed point of class i into class j (the division is exact because
-the classes are orbits), plus the step size N_s.  So K = c / N_s and
+c[i, j] = n[i, s, j] N_s, the number of points of the step circle that
+carry a fixed point of class i into class j (``closed_row`` at the step
+class emits it), plus the step size N_s.  So K = c / N_s and
 K^m = c^m / N_s^m.  The float64 matrix and the ``Fraction`` view are derived
 from those integers.  Exact statements use integer arithmetic:
 stationarity of the class-size law is the identity
@@ -33,7 +33,6 @@ import numpy as np
 from .conic_geometry import (
     ClassIndex,
     ConicParams,
-    class_size,
     class_sizes,
     index_set,
     intersection_count,
@@ -55,24 +54,18 @@ MONOTONE_SLACK = 1e-12
 
 
 class Kernel:
-    """Row-stochastic matrix of the class walk with step class ``step``,
-    built from counts[i, j] = C[i, step, j] and the class sizes, stored as
-    the integer step matrix step_counts = counts / N_i and the step size."""
+    """Row-stochastic matrix of the class walk with step class ``step``: the
+    integer step matrix step_counts[i, j] = n[i, step, j] N_step, taken as
+    given (each row must sum to the step size N_step), and the class sizes."""
 
     def __init__(self, params: ConicParams, classes: list[ClassIndex],
-                 step: ClassIndex, counts: np.ndarray, sizes):
+                 step: ClassIndex, step_counts: np.ndarray, sizes):
         self.params = params
         self.classes = list(classes)
         self.step = step
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.step_size = int(self.sizes[self.position(step)])
-        counts = np.asarray(counts, dtype=np.int64)
-        # a float quotient of integers below 2^53 is exact when the division is
-        self.step_counts = (counts / self.sizes[:, None]).astype(np.int64)
-        bad = np.flatnonzero((self.step_counts * self.sizes[:, None] != counts).any(axis=1))
-        if bad.size:
-            raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
-                             f"{self.sizes[bad[0]]}")
+        self.step_counts = np.asarray(step_counts, dtype=np.int64)
         sums = self.step_counts.sum(axis=1)
         bad = np.flatnonzero(sums != self.step_size)
         if bad.size:
@@ -124,7 +117,7 @@ class Kernel:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": self.params.to_json(),
+            "field": self.params.spec.to_json(),
             "step": self.step.label(),
             "classes": [c.label() for c in self.classes],
             "rows": _fraction_texts(self.step_counts, self.step_size).tolist(),
@@ -185,9 +178,15 @@ class Distribution:
 # ---------------------------------------------------------------------------
 
 def kernel(table: StructureTable, s: ClassIndex) -> Kernel:
-    """K(i, j) = n[i, s, j] from a materialized table."""
-    return Kernel(table.params, table.classes, s,
-                  table.counts[:, table.position(s), :], table.sizes)
+    """K(i, j) = n[i, s, j] from a materialized table: its plane C[:, s, :]
+    divided by the class sizes N_i, which must divide it exactly."""
+    sizes = np.asarray(table.sizes, dtype=np.int64)
+    step_counts, rest = np.divmod(table.counts[:, table.position(s), :], sizes[:, None])
+    bad = np.flatnonzero(rest.any(axis=1))
+    if bad.size:
+        raise ValueError(f"kernel row {bad[0]} is not divisible by its class size "
+                         f"{sizes[bad[0]]}")
+    return Kernel(table.params, table.classes, s, step_counts, sizes)
 
 
 def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
@@ -203,20 +202,18 @@ def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
     f(si, s, sk) = s^2 f(i, 1, k), and chi(s^2 x) = chi(x)."""
     if s is None:
         s = ClassIndex.finite(params.spec.one)
-    with params.spec.interned():  # one element per index, for the classes and the row
-        classes = index_set(params)
-        if s not in classes:
-            raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
-        counts = closed_row(params, classes, s)
-        if not (s.is_zero or s.is_isotropic):
-            # certify the vectorised closed form against the scalar trichotomy on the
-            # step's own row: C[s, s, k] = N_s * #(radius-s circles at quadrance k meet)
-            v, row = s.value, counts[classes.index(s), 1:params.q]
-            meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
-            if not np.array_equal(row, class_size(s, params) * np.array(meets)):
-                raise InternalCheckError(
-                    f"closed form disagrees with the trichotomy on row {s!r}")
-    return Kernel(params, classes, s, counts, class_sizes(params))
+    classes = index_set(params)
+    if s not in classes:
+        raise IndexInvalid(f"{s!r} not a class over {params.spec!r}")
+    step_counts = closed_row(params, classes, s)
+    if not (s.is_zero or s.is_isotropic):
+        # certify the vectorised closed form against the scalar trichotomy on the
+        # step's own row: c[s, k] = #(radius-s circles at quadrance k meet)
+        v = s.value
+        meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
+        if step_counts[classes.index(s), 1:params.q].tolist() != meets:
+            raise InternalCheckError(f"closed form disagrees with the trichotomy on row {s!r}")
+    return Kernel(params, classes, s, step_counts, class_sizes(params))
 
 
 def _laws(k: Kernel, vec: np.ndarray):

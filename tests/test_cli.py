@@ -126,6 +126,9 @@ def test_kernel_dump(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["kernel"]["rows"]) == 14
     assert payload["kernel"]["rows"][0][1] == "1/1"
+    # the walk reads no weight, so the kernel states its field alone
+    assert payload["kernel"]["field"] == {"p": 13, "d": 1, "modulus": [0, 1]}
+    assert "params" not in payload["kernel"]
 
 
 def test_stationary_matches_haar(tmp_path):
@@ -320,7 +323,7 @@ GOLDEN_STDOUT = {
     ("kernel", "--p", "13", "--s", "iso", "--format", "csv"):
         "277fcb025a62c24bac65467048bfb9ea592455274d75989adf02cbfbcccd8e36",
     ("kernel", "--p", "7"):
-        "0424ff3fda603b9df1798574a1029cb5efb40d41740131bec92c698569d55b9b",
+        "1fdae085d56a6e98bbe04c9ac5f454b19e20233ee3cccd538c92aa5a0b8fadea",
     ("stationary", "--p", "31", "--method", "exact"):
         "7f3f56c452ac8da7828c8630544f8f3ebea87c1433d09065696d5b96eb6c1c76",
     # the Monte Carlo bytes: a change to the stream or to the draw rule
@@ -539,6 +542,17 @@ def test_not_ergodic_step_exits_1_with_its_reason():
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr == ("error: kernel with step C[0] is not ergodic: "
                         "6 classes do not communicate with C[0]\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--p", "1031"), "q = 1031 exceeds the arithmetic cap 1024"),
+    (("--p", "3", "--d", "7"), "q = 3^7 exceeds the arithmetic cap 1024"),
+    (("--p", "9"), "q must be an odd prime power: 9 is not an odd prime"),
+], ids=["prime-above-cap", "power-above-cap", "not-prime"])
+def test_field_errors_exit_1_with_their_own_reason(args, message):
+    r = run_main("kernel", *args)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_unwritable_hist_out_exits_1_with_one_line(tmp_path):

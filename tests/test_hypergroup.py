@@ -28,6 +28,7 @@ from conicwalk import (
     verify_axioms,
 )
 from conicwalk.cli import admissible_prime_powers
+from conicwalk.conic_geometry import class_sizes
 from conicwalk.errata import errata_entries, published_six_step_reference
 
 from conftest import (
@@ -251,7 +252,7 @@ def test_closed_row_counts_nonnegative_and_normalized(params, data):
     cj = data.draw(st.sampled_from(index_set(params)))
     row = closed_row(params, [ci], cj)[0]
     assert row.min() >= 0
-    assert row.sum() == class_size(ci, params) * class_size(cj, params)
+    assert row.sum() == class_size(cj, params)  # every point of cj carries it somewhere
 
 
 # the walk depends on q alone: the closed form reads no weight, and a finite
@@ -309,14 +310,18 @@ PUBLISHED_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("field", FIVE_FIELDS)
 def test_one_call_step_matrix_equals_the_single_rows_and_the_table(field):
+    # the per-point step matrix scaled by N_i is the table's plane, from the
+    # closed form and from the enumeration oracle alike
     params = five_field_params(field)
     classes = index_set(params)
-    table = build_table(params)
+    sizes = class_sizes(params)[:, None]
+    table, oracle = build_table(params), oracle_table(params)
     for t, s in enumerate(classes):  # every step class, zero and iso included
         matrix = closed_row(params, classes, s)
         single = np.stack([closed_row(params, [ci], s)[0] for ci in classes])
         assert np.array_equal(matrix, single), s
-        assert np.array_equal(matrix, table.counts[:, t, :]), s
+        assert np.array_equal(sizes * matrix, table.counts[:, t, :]), s
+        assert np.array_equal(sizes * matrix, oracle.counts[:, t, :]), s
     published = build_table(params, published_isotropic_row=True).counts
     digest = hashlib.sha256(np.ascontiguousarray(published, dtype="<i8").tobytes())
     assert digest.hexdigest() == PUBLISHED_TABLE_SHA256[field]

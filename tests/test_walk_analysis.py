@@ -13,6 +13,7 @@ from conicwalk import (
     IndexMismatch,
     Kernel,
     NotErgodic,
+    StructureTable,
     boost_check,
     build_table,
     ergodicity_check,
@@ -81,11 +82,16 @@ def test_kernel_power_rows_stay_stochastic(k7, k13):
 
 
 def test_kernel_rejects_counts_not_divisible_by_the_class_size(k7):
-    counts = k7.step_counts * k7.sizes[:, None]
-    counts[1, 0] += 1  # row 1 still sums to N_1 N_s, but N_1 = 8 no longer divides it
-    counts[1, 1] -= 1
-    with pytest.raises(ValueError, match="not divisible"):
-        Kernel(k7.params, k7.classes, k7.step, counts, k7.sizes)
+    table = build_table(k7.params)
+    counts = table.counts.copy()
+    t = table.position(k7.step)
+    # row (1, s) keeps its sum N_1 N_s, so the table validates, but N_1 = 8
+    # no longer divides its entries
+    counts[1, t, 0] -= 1
+    counts[1, t, 1] += 1
+    moved = StructureTable(table.params, table.classes, table.sizes, counts, "moved")
+    with pytest.raises(ValueError, match="kernel row 1 is not divisible by its class size 8"):
+        kernel(moved, k7.step)
 
 
 def test_kernel_zero_step_is_identity():
@@ -279,7 +285,7 @@ def _unit_kernel(steps):
     rows all sum to one N, and every class of size N."""
     params = ConicParams(make_prime_field(7), 1, 1)
     n = int(steps[0].sum())
-    return Kernel(params, index_set(params), _cls(params.spec, 1), steps * n, [n] * 7)
+    return Kernel(params, index_set(params), _cls(params.spec, 1), steps, [n] * 7)
 
 
 def _cyclic_steps(parts):
@@ -636,17 +642,17 @@ def test_distribution_validation(k7):
 
 @pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (127, 1)])
 def test_certification_row_catches_a_wrong_closed_form(p, d, monkeypatch):
-    # one entry of the step's own row flipped between 0 and 2 N_s, the counts
-    # of circles that miss and that cross: the scalar trichotomy must disagree
-    from conicwalk import InternalCheckError, class_size, walk_analysis
+    # one entry of the step's own row flipped between 0 and 2, the counts of
+    # circles that miss and that cross: the scalar trichotomy must disagree
+    from conicwalk import InternalCheckError, walk_analysis
 
     closed_row = walk_analysis.closed_row
 
     def flipped(params, rows, cj, *args):
         out = closed_row(params, rows, cj, *args)
-        row, size = out[rows.index(cj)], class_size(cj, params)
-        col = next(c for c in range(1, params.q) if row[c] != size)
-        row[col] = 2 * size - row[col]
+        row = out[rows.index(cj)]
+        col = next(c for c in range(1, params.q) if row[c] != 1)
+        row[col] = 2 - row[col]
         return out
 
     params = ConicParams(make_field(p, d), 1, 1)
