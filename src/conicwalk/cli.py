@@ -375,8 +375,8 @@ def mixing(p, d, out, s, eps):
 def minorize(p, d, out, s, steps):
     """Minimum of K^m / pi against the proven minorization constant."""
     _check_writable(out)
-    params, k = _walk(p, d, s)
-    verdict = minorization_check(k, haar(params), steps)
+    _, k = _walk(p, d, s)
+    verdict = minorization_check(k, steps)
     _emit_json({"minorization": verdict}, out)
     ref = float(Fraction(verdict["reference"]))
     _note(f"minorization q={k.q} m={verdict['m']}: min K^m/pi = {verdict['measured']:.6g} "

@@ -8,16 +8,22 @@ K^m = c^m / N_s^m.  The float64 matrix and the ``Fraction`` view are derived
 from those integers.  Exact statements use integer arithmetic:
 stationarity of the class-size law is the identity
 sum_i N_i c[i, j] = N_s N_j at every q, and the minorization constant is
-exact while N_s^m < 2^53, where the one float64 power of c holds exact
-integers.  Mixing times and TV curves run in float64 with explicit
-tolerances (mixing times here are O(q) steps, so accumulated error stays
-far below them), on one forward loop of vector-matrix products.
+exact while N_s^m < 2^63, from the int64 origin row e_0 c^m.  Mixing times
+and TV curves run in float64 with explicit tolerances (mixing times here
+are O(q) steps, so accumulated error stays far below them), on one forward
+loop of vector-matrix products.
 
-The worst-start TV is the TV from the origin class.  A class start is a
-mixture of point starts, and every point start has the same TV by
-translation invariance.  The classes are the orbits of O(Q), which fixes
-the step circle, so the law started at the origin stays uniform on each
-class: its class TV is its point TV.  One row then gives the worst start.
+The origin class is the worst start, for TV and for minorization.  The
+classes are the orbits of O(Q), which fixes the step circle, so the point
+law mu_t of the walk from the origin is a class function: mu_t(z) =
+K^t(0, c) / N_c for z in class c.  By translation invariance a point x of
+class i reaches class j with probability sum over y in S_j of mu_t(y - x).
+So K^t(i, j) / pi_j, pi the class-size law pi_j = N_j / q^2, is the average
+over y in S_j of g(class(y - x)), g(c) = K^t(0, c) / pi_c: at least min g,
+with equality at the origin.  Likewise a class start is a mixture of point
+starts, which all have the origin's point TV, and the origin's law is
+uniform on each class, so its class TV is its point TV.  One row then gives
+the worst start for both.
 """
 
 from __future__ import annotations
@@ -208,10 +214,18 @@ def kernel_for_step(params: ConicParams, s: ClassIndex | None = None) -> Kernel:
     step_counts = closed_row(params, classes, s)
     if not (s.is_zero or s.is_isotropic):
         # certify the vectorised closed form against the scalar trichotomy on the
-        # step's own row: c[s, k] = #(radius-s circles at quadrance k meet)
-        v = s.value
-        meets = [intersection_count(v, v, k.value, params) for k in classes[1:params.q]]
-        if step_counts[classes.index(s), 1:params.q].tolist() != meets:
+        # step's own row: c[s, k] = #(radius-s circles at quadrance k meet).
+        # f(s, s, k) = s^2 - (2s - k)^2 / 4 is fixed by k -> 4s - k, so the row
+        # must equal its mirror, and the scalar count runs once per pair {k, 4s - k}
+        v, ks = s.value, np.arange(1, params.q)
+        add = params.spec.add_table()
+        two = add[v.idx, v.idx]
+        mirror = add[add[two, two], params.spec.neg_table()[ks]]
+        paired = mirror > 0
+        reps = ks[~paired | (ks <= mirror)]
+        row = step_counts[v.idx]
+        meets = [intersection_count(v, v, classes[k].value, params) for k in reps.tolist()]
+        if (row[ks[paired]] != row[mirror[paired]]).any() or row[reps].tolist() != meets:
             raise InternalCheckError(f"closed form disagrees with the trichotomy on row {s!r}")
     return Kernel(params, classes, s, step_counts, class_sizes(params))
 
@@ -397,38 +411,36 @@ def mixing_time(k: Kernel, pi: Distribution, eps: float,
             raise WalkTimeout(f"no mixing below eps={eps} within {limit} steps")
 
 
-def minorization_constant(k: Kernel, pi: Distribution, m: int) -> tuple[Fraction | None, float]:
-    """min over (i, j) of K^m(i, j) / pi(j), exact while N_s^m < 2^53.
+def minorization_constant(k: Kernel, m: int) -> tuple[Fraction | None, float]:
+    """min over (i, j) of K^m(i, j) / pi_j for the class-size law pi, exact
+    while N_s^m < 2^63.
 
-    K^m = c^m / N_s^m.  Every entry and partial sum of the float64 power of
-    the step matrix c is a nonnegative integer at most N_s^m, so below 2^53
-    that one BLAS power holds the exact integers.  The exact minimum of
-    v_j / (N_s^m pi_j) over the column minima v_j is then found by integer
-    cross-multiplication among the columns whose float ratio to ``pi.probs``
-    (pi.exact correctly rounded, in every law the package builds), within a
-    few ulp of the exact one, lies within 1e-12 of the float minimum.  Above
-    2^53, or without an exact pi, the constant is float only: (None, float).
-    """
+    That minimum is the origin row's (see the module docstring), so it is
+    min_j v_j q^2 / (N_s^m N_j) for v = e_0 c^m, m integer vector products
+    in int64: every entry and partial sum of v is at most N_s^m.  The exact
+    minimum compares one ``Fraction`` per distinct class size, at the
+    smallest v_j of that size.  Above 2^63 the constant is float only,
+    (None, float), from the float64 power of the whole kernel."""
     if m < 1:
         raise ValueError("m must be >= 1")
     # N_s^m >= 2^(m (bit_length - 1)): a large m takes the float path before
     # its power, an int of about m log2(N_s) bits, is built
-    scale = None if m * (k.step_size.bit_length() - 1) >= 53 else k.step_size ** m
-    if scale is None or scale >= 2 ** 53 or pi.exact is None:
+    scale = None if m * (k.step_size.bit_length() - 1) >= 63 else k.step_size ** m
+    total = int(k.sizes.sum())  # q^2
+    if scale is None or scale >= 2 ** 63:
         mat = np.linalg.matrix_power(k.mat, m)
-        return None, float((mat / pi.probs[None, :]).min())
-    col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
-    ratio = col_min / pi.probs
-    num, den = 1, 0  # the running minimum num / den of v_j / pi_j, from +infinity
-    for j in np.flatnonzero(ratio <= ratio.min() * (1 + 1e-12)).tolist():
-        v, p = int(col_min[j]) * pi.exact[j].denominator, pi.exact[j].numerator
-        if v * den < num * p:
-            num, den = v, p
-    exact = Fraction(num, den * scale)
+        return None, float((mat / (k.sizes / total)).min())
+    step_t = np.ascontiguousarray(k.step_counts.T)  # int64 c^T v: about 6x faster than v c
+    v = np.zeros(k.size, dtype=np.int64)
+    v[k.position(ClassIndex.finite(k.params.spec.zero))] = 1
+    for _ in range(m):
+        v = step_t @ v
+    exact = min(Fraction(int(v[k.sizes == n].min()) * total, scale * n)
+                for n in set(k.sizes.tolist()))
     return exact, float(exact)
 
 
-def minorization_check(k: Kernel, pi: Distribution, m: int | None = None) -> dict:
+def minorization_check(k: Kernel, m: int | None = None) -> dict:
     """The measured m-step constant (default: the reference power) against
     the proven one, as a JSON-ready verdict.
 
@@ -440,7 +452,7 @@ def minorization_check(k: Kernel, pi: Distribution, m: int | None = None) -> dic
     k.require_ergodic()
     ref_m, ref_c = minorization_reference(k.q, k.branch)
     m = ref_m if m is None else m
-    exact, measured = minorization_constant(k, pi, m)
+    exact, measured = minorization_constant(k, m)
     applicable = m == ref_m and (k.branch == 3 or k.q >= 13)
     if not applicable:
         ok = True
@@ -525,7 +537,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
     k = kernel_for_step(params, s)
     pi = _size_law(k.classes, k.sizes)  # the Haar law, on the kernel's class axis
     tau, curve = mixing_time(k, pi, eps, return_curve=True)
-    minor = minorization_check(k, pi)
+    minor = minorization_check(k)
     del minor["reference_m"], minor["reference_applicable"]
     return MixingReport(
         q=k.q,

@@ -149,9 +149,8 @@ def test_criterion_06_minorization(closed_tables):
             continue
         table = closed_tables[q]
         k = kernel(table, ClassIndex.finite(table.params.spec.one))
-        pi = haar(table.params)
         m, ref = minorization_reference(q, branch)
-        exact, _ = minorization_constant(k, pi, m)
+        exact, _ = minorization_constant(k, m)
         if exact is None or exact < ref:
             failures.append((q, m, str(exact), str(ref)))
         details.append(f"q={q}:m={m}")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,23 @@ def test_float_outputs_match_recorded_values(args):
     assert got[:2] == want[:2]
     _assert_matches([[float(v) for v in line.split(",")] for line in got[2:]],
                     [[float(v) for v in line.split(",")] for line in want[2:]])
+
+
+def test_minorize_reports_the_python_int_origin_row_past_2_53():
+    # q = 461: N_s^6 = 460^6 lies between 2^53 and 2^63
+    from conicwalk import ConicParams, kernel_for_step, make_prime_field
+
+    k = kernel_for_step(ConicParams(make_prime_field(461), 1, 1))
+    step = k.step_counts.astype(object)
+    v = np.zeros(k.size, dtype=object)
+    v[0] = 1
+    for _ in range(6):
+        v = v @ step
+    ref = min(Fraction(int(vj) * 461 ** 2, 460 ** 6 * int(nj))
+              for vj, nj in zip(v.tolist(), k.sizes.tolist()))
+    out = json.loads(run_main("minorize", "--p", "461").stdout)["minorization"]
+    assert out["measured_exact"] == f"{ref.numerator}/{ref.denominator}"
+    assert out["measured"] == float(ref) and out["ok"]
 
 
 def test_minorize_reports_exact_zero():

@@ -35,6 +35,7 @@ from conicwalk import (
     tv_distance,
 )
 
+from conicwalk.cli import admissible_prime_powers
 from conftest import FIVE_FIELDS, five_field_params
 
 EPS_REF = 1.0 / (2.0 * math.e)
@@ -273,8 +274,6 @@ def test_ergodicity_matches_the_reference_bfs_on_every_step_class(field):
 
 @pytest.mark.parametrize("q", [125, 127, 461, 1021])
 def test_ergodicity_matches_the_reference_bfs_on_the_unit_step(q):
-    from conicwalk.cli import admissible_prime_powers
-
     [(_, p, d)] = admissible_prime_powers(q, q)
     k = kernel_for_step(ConicParams(make_field(p, d), 1, 1))
     assert _report_tuple(ergodicity_check(k)) == _reference_ergodicity(k) == (True, True, 1, [])
@@ -489,15 +488,15 @@ def test_mixing_time_bound_branch_mismatch():
 # minorization and decay
 # ---------------------------------------------------------------------------
 
-def test_minorization_gf7(k7, pi7):
-    exact, approx = minorization_constant(k7, pi7, 4)
+def test_minorization_gf7(k7):
+    exact, approx = minorization_constant(k7, 4)
     ref = Fraction(49 * 6, 8**4)
     assert exact is not None and exact >= ref
     assert abs(float(exact) - approx) < 1e-12
 
 
-def test_minorization_gf13(k13, pi13):
-    exact, _ = minorization_constant(k13, pi13, 6)
+def test_minorization_gf13(k13):
+    exact, _ = minorization_constant(k13, 6)
     assert exact >= Fraction(1, 39)
 
 
@@ -505,7 +504,7 @@ def test_minorization_gf5_computed_but_small_q():
     # below the six-step hypothesis threshold: computed, not asserted against 1/(3q)
     p5 = ConicParams(make_prime_field(5), 1, 1)
     k = kernel_for_step(p5)
-    exact, approx = minorization_constant(k, haar(p5), 6)
+    exact, approx = minorization_constant(k, 6)
     assert exact is not None and exact >= 0
     assert approx >= 0
 
@@ -527,53 +526,59 @@ def test_exact_minorization_matches_python_int_power(q):
     params = ConicParams(make_prime_field(q), 1, 1)
     k, pi = kernel_for_step(params), haar(params)
     m, ref = minorization_reference(q, q % 4)
-    exact, measured = minorization_constant(k, pi, m)
+    exact, measured = minorization_constant(k, m)
     assert exact == _python_int_minorization(k, pi, m)
     assert measured == float(exact) and exact >= ref
 
 
 def _per_column_minorization(k, pi, m):
-    """The exact constant as computed before the cross-multiplication: one
-    ``Fraction`` per column of the float64 power of the step matrix."""
+    """min over (i, j) of K^m(i, j) / pi(j), one ``Fraction`` per column of
+    the float64 power of the whole step matrix: every pair, exact while
+    N_s^m < 2^53."""
     col_min = np.linalg.matrix_power(k.step_counts.astype(float), m).min(axis=0)
     scale = k.step_size ** m
     return min(Fraction(int(v), scale) / pj for v, pj in zip(col_min.tolist(), pi.exact))
 
 
-@pytest.mark.parametrize("q", [13, 31, 127, 457])  # 457: the largest exact branch-1 field
+@pytest.mark.parametrize("q", [13, 31, 127, 457])  # 457: the last branch-1 N_s^6 below 2^53
 def test_exact_minorization_equals_the_per_column_fractions(q):
     params = ConicParams(make_prime_field(q), 1, 1)
     k, pi = kernel_for_step(params), haar(params)
     m, _ = minorization_reference(q, q % 4)
-    exact, measured = minorization_constant(k, pi, m)
+    exact, measured = minorization_constant(k, m)
     assert exact == _per_column_minorization(k, pi, m)
     assert measured == float(exact)
 
 
-@pytest.mark.parametrize("law", ["uniform", "seeded"])
-def test_exact_minorization_against_a_non_haar_law(law):
-    # uniform: every column ties in pi; seeded: distinct denominators per column
-    params = ConicParams(make_prime_field(13), 1, 1)
-    k = kernel_for_step(params)
-    if law == "uniform":
-        weights = [Fraction(1, k.size)] * k.size
-    else:
-        rng = np.random.default_rng(5)
-        raw = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 50, size=(k.size, 2))]
-        weights = [w / sum(raw) for w in raw]
-    pi = Distribution(k.classes, [float(w) for w in weights], weights)
-    for m in (1, 2, 6):
-        exact, measured = minorization_constant(k, pi, m)
-        assert exact == _per_column_minorization(k, pi, m), m
-        assert measured == float(exact)
+@pytest.mark.parametrize("q,p,d", admissible_prime_powers(3, 127),
+                         ids=[str(q) for q, _, _ in admissible_prime_powers(3, 127)])
+def test_the_origin_row_gives_the_minimum_over_all_pairs(q, p, d):
+    # min over (i, j) of K^m(i, j) / pi_j is the origin row's, for the unit
+    # step, the last finite class and the isotropic step, at m = 1..6
+    params = ConicParams(make_field(p, d), 1, 1)
+    steps = [None, ClassIndex.finite(params.spec.element(q - 1))]
+    if params.split:
+        steps.append(ClassIndex.isotropic(params.spec))
+    pi = haar(params)
+    for s in steps:
+        k = kernel_for_step(params, s)
+        for m in range(1, 7):
+            if k.step_size ** m >= 2 ** 53:
+                break
+            exact, measured = minorization_constant(k, m)
+            assert exact == _per_column_minorization(k, pi, m), (s, m)
+            assert measured == float(exact)
 
 
-def test_minorization_exact_while_the_power_denominator_is_below_2_53():
-    # branch 1: m = 6 and N_s = q - 1, so N_s^6 < 2^53 holds at q = 457, not at 461
-    for q, exact_expected in ((457, True), (461, False)):
-        params = ConicParams(make_prime_field(q), 1, 1)
-        k = kernel_for_step(params)
-        exact, measured = minorization_constant(k, haar(params), 6)
+def test_minorization_exact_while_the_power_denominator_is_below_2_63():
+    # m = 6; N_s = q - 1 for the finite step, 2(q - 1) for the isotropic one:
+    # N_s^6 < 2^63 holds at q = 461 finite and q = 709 isotropic, not at 729
+    for q, p, d, step, exact_expected in ((461, 461, 1, None, True), (709, 709, 1, "iso", True),
+                                          (729, 3, 6, "iso", False)):
+        params = ConicParams(make_field(p, d), 1, 1)
+        s = None if step is None else ClassIndex.isotropic(params.spec)
+        k = kernel_for_step(params, s)
+        exact, measured = minorization_constant(k, 6)
         assert (exact is not None) == exact_expected, q
         assert measured >= 1 / (3 * q)
 
@@ -582,12 +587,12 @@ def test_minorization_power_past_2_53_never_builds_n_s_to_the_m():
     # GF(3): N_s = 4, so N_s^m has 2m + 1 bits; at m = 10^12 that int would
     # take 250 GB, while the float power of the 3 x 3 step matrix takes microseconds
     params = ConicParams(make_prime_field(3), 1, 1)
-    k, pi = kernel_for_step(params), haar(params)
+    k = kernel_for_step(params)
     start = time.perf_counter()
-    exact, measured = minorization_constant(k, pi, 10 ** 12)
+    exact, measured = minorization_constant(k, 10 ** 12)
     assert time.perf_counter() - start < 0.5
     assert exact is None
-    assert measured == minorization_constant(k, pi, 10 ** 6)[1]
+    assert measured == minorization_constant(k, 10 ** 6)[1]
 
 
 def test_minorization_reference_values():
@@ -643,22 +648,27 @@ def test_distribution_validation(k7):
 @pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (127, 1)])
 def test_certification_row_catches_a_wrong_closed_form(p, d, monkeypatch):
     # one entry of the step's own row flipped between 0 and 2, the counts of
-    # circles that miss and that cross: the scalar trichotomy must disagree
+    # circles that miss and that cross: first the first entry, which the scalar
+    # trichotomy checks, then an entry k whose mirror 4 - k < k stands for its
+    # pair in the scalar calls, which only the row's mirror symmetry sees
     from conicwalk import InternalCheckError, walk_analysis
 
     closed_row = walk_analysis.closed_row
-
-    def flipped(params, rows, cj, *args):
-        out = closed_row(params, rows, cj, *args)
-        row = out[rows.index(cj)]
-        col = next(c for c in range(1, params.q) if row[c] != 1)
-        row[col] = 2 - row[col]
-        return out
-
     params = ConicParams(make_field(p, d), 1, 1)
-    monkeypatch.setattr(walk_analysis, "closed_row", flipped)
-    with pytest.raises(InternalCheckError):
-        kernel_for_step(params)
+    add, neg = params.spec.add_table(), params.spec.neg_table()
+    mirror = add[add[2, 2], neg]  # 4 - k at k: the field's 2 has index 2
+    row = closed_row(params, index_set(params), ClassIndex.finite(params.spec.one))[1]
+    first = next(c for c in range(1, params.q) if row[c] != 1)
+    mirrored = next(c for c in range(1, params.q) if 0 < mirror[c] < c and row[c] != 1)
+    for col in (first, mirrored):
+        def flipped(params, rows, cj, *args):
+            out = closed_row(params, rows, cj, *args)
+            out[rows.index(cj), col] = 2 - out[rows.index(cj), col]
+            return out
+
+        monkeypatch.setattr(walk_analysis, "closed_row", flipped)
+        with pytest.raises(InternalCheckError):
+            kernel_for_step(params)
 
 
 @pytest.mark.parametrize("p,d", [(127, 1), (5, 3)])
