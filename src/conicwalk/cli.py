@@ -221,8 +221,10 @@ def field_options(fn):
 
 def weight_options(fn):
     """The weights of a*x^2 + b*y^2, read by the enumeration oracle only."""
-    fn = click.option("--a", type=int, default=1, show_default=True)(fn)
-    fn = click.option("--b", type=int, default=1, show_default=True)(fn)
+    for w in ("a", "b"):
+        fn = click.option(f"--{w}", type=int, default=1, show_default=True,
+                          help=f"weight {w} of a*x^2 + b*y^2, read only when an "
+                               "enumeration oracle runs")(fn)
     return fn
 
 
@@ -273,7 +275,7 @@ def constants(p, d, a, b, out, fmt, verify_oracle, diagnostic_unsplit, errata_ou
     _check_writable(out, errata_path if verify_oracle else None)
     # after every input check, so that no error line follows the warning
     if runs_oracle and cap > ORACLE_CAP:
-        _note(f"warning: enumeration cap raised to {cap}; O(q^4) oracle may be slow")
+        _note(f"warning: enumeration cap raised to {cap}; O(q^3) oracle may be slow")
 
     if diagnostic_unsplit:
         table = oracle_table(params, split=False, cap=cap)

@@ -3,14 +3,15 @@
 Translating a point of class i by a point of class j lands in class k a
 fixed fraction n[i,j,k] of the time; those fractions are convex weights and
 make the classes a hermitian commutative hypergroup.  This module provides
-the closed-form constants, a brute-force enumeration oracle that counts all
-q^4 translation pairs, and the axiom checker.
+the closed-form constants, a brute-force enumeration oracle, and the axiom
+checker.
 
 The oracle stays independent of the closed form and of the theorem behind
-it, that the circles are the orbits of O(Q).  It counts one point u per
-orbit of the sign flips (x, y) -> (+-x, +-y), weighted by the orbit size:
-they are additive and fix the formula Q = a x^2 + b y^2, so (u, v) and
-(s u, s v) land in the same class triple (see ``oracle_table``).
+it, that the circles are the orbits of O(Q), and runs in O(q^3).  It counts
+the pairs (u, v) only for u in the classes 0, 1, the first non-square g and
+the isotropic class, one u per orbit of the sign flips (x, y) -> (+-x, +-y),
+and gathers every other class's plane by the dilation x -> lambda x, which
+scales Q = a x^2 + b y^2 by lambda^2 (see ``oracle_table``).
 
 Both sources produce the same single representation: the int64 count array
 C[i,j,k] = n[i,j,k] * N_i * N_j (the number of translation pairs of class i
@@ -55,15 +56,23 @@ MAX_VIOLATIONS = 20  # violating indices listed per axiom by ``verify_axioms``
 def _fraction_texts(counts: np.ndarray, dens, sep: str = "/", labels=None) -> np.ndarray:
     """Object array shaped like the non-negative ``counts``: the text
     f"{num}{sep}{den}" of counts / dens (positive, broadcast) in lowest terms,
-    after f"{labels[k]}," for the last index k when ``labels`` is given.  The
-    key den * span + count, every count below span, tells the values apart,
-    so each distinct value (a table has about ten) is reduced and formatted once."""
+    after f"{labels[k]}," for the last index k when ``labels`` is given.  A
+    table has about ten distinct values over a few distinct denominators, so
+    each entry is keyed densely by (code of its denominator, count), every
+    count below span: only the denominators are sorted, not the entries.
+    Each value present is reduced and formatted once, and a lookup over the
+    key range numbers them."""
     span = int(counts.max(initial=0)) + 1
-    keys, inverse = np.unique(np.broadcast_to(dens, counts.shape) * span + counts,
-                              return_inverse=True)
-    values = (Fraction(key % span, key // span) for key in keys.tolist())
+    den_values, den_codes = np.unique(dens, return_inverse=True)
+    keys = den_codes.reshape(np.shape(dens)) * span + counts
+    present = np.zeros(len(den_values) * span, dtype=bool)
+    present[keys] = True
+    codes = np.flatnonzero(present)
+    lookup = np.cumsum(present) - 1  # the rank of each present key
+    values = (Fraction(c % span, d)
+              for c, d in zip(codes.tolist(), den_values[codes // span].tolist()))
     texts = [f"{v.numerator}{sep}{v.denominator}" for v in values]
-    inverse = inverse.reshape(counts.shape)
+    inverse = lookup[keys]
     if labels is not None:
         inverse = inverse + np.arange(len(labels)) * len(texts)
         texts = [f"{lk},{t}" for lk in labels for t in texts]
@@ -225,49 +234,78 @@ def _class_array(params: ConicParams, split: bool) -> np.ndarray:
 def oracle_table(
     params: ConicParams, split: bool = True, cap: int = ORACLE_CAP
 ) -> StructureTable:
-    """Exact structure constants by enumerating all q^4 ordered point pairs.
+    """Exact structure constants by enumerating ordered point pairs, in O(q^3).
 
-    The sign flips s(x, y) = (+-x, +-y) are additive and fix Q = a x^2 + b y^2,
-    and a point's class depends only on its Q and on whether it is the origin,
-    so (u, v) -> (s u, s v) maps the pairs of each class triple onto
-    themselves: every u of one sign-flip orbit has the same histogram of
-    (class of v, class of u + v) over all v.  One u is kept per orbit, the one
-    whose coordinate indices are at most those of their negatives, weighted
-    by the orbit size 1, 2 or 4.  The argument uses only the formula for Q,
-    not the theorem under test that the circles are the orbits of O(Q).
+    Dilation fold: for lambda != 0 the map x -> lambda x is additive and
+    Q(lambda x) = lambda^2 Q(x), so it fixes the origin, maps the null cone
+    onto itself and (u, v) -> (lambda u, lambda v) carries the pairs of the
+    class triple (i, j, k) onto those of (mu i, mu j, mu k), mu = lambda^2,
+    with 0 and the isotropic class fixed.  Hence C[i, j, k] = C[r, j/mu, k/mu]
+    for i = mu r.  Only the planes i = 0, 1, the first non-square g and the
+    isotropic class are counted; every other finite i is mu r with r in
+    {1, g} and mu = i/r a square, and its plane is gathered from plane r.
 
-    Point addition is separable by coordinate, so the classes of u + v over
-    all v are the rows by_y[y_u, x_u + x_v] of the (q, q, q) table
-    by_y[y_u, X, y_v], the class of the point (X, y_u + y_v).  The kept u are
-    grouped by class and weight; each group is one gather of those rows,
-    keyed with the class of v and counted by one bincount into n^2 bins."""
-    q = params.q
+    Sign-flip fold: the flips s(x, y) = (+-x, +-y) are additive and fix Q, so
+    (u, v) -> (s u, s v) maps the pairs of each class triple onto themselves:
+    every u of one sign-flip orbit has the same histogram of (class of v,
+    class of u + v) over all v.  One u is kept per orbit, the one whose
+    coordinate indices are at most those of their negatives, weighted by the
+    orbit size 1, 2 or 4.
+
+    Both folds use only the formula for Q, not the closed form nor the
+    theorem under test that the circles are the orbits of O(Q).  The O(q)
+    kept u of the counted planes are grouped by plane and weight; each group
+    is one gather of the classes of u + v over all q^2 points v, keyed with
+    the class of v and counted by one bincount into n^2 bins: O(q^3) in all,
+    as is the gather of the n planes."""
+    q, spec = params.q, params.spec
     if q > cap:
         raise CapExceeded(f"q = {q} exceeds the oracle cap {cap}")
     split = split and params.split
     classes = index_set(params, split=split)
     n_classes = len(classes)
     cls = _class_array(params, split).reshape(q, q)  # cls[x, y]
-    add = params.spec.add_table()
-    by_y = cls[np.arange(q)[:, None], add[:, None]]  # by_y[y_u, X, y_v]
-    key_v = cls * n_classes  # key term of the class of v = (x_v, y_v)
+    add = spec.add_table()
+    key_v = cls * n_classes  # key term of the class of v = (x_v, y_v) in key[u, x_v, y_v]
 
-    # the kept u: coordinate indices at most those of their negatives
+    # the counted planes by class position, each numbered: 0, 1, g, isotropic
+    chi = spec.chi_table()
+    g = int(np.argmax(chi == -1))
+    counted = np.full(n_classes, -1)
+    counted[[0, 1, g] + [q] * split] = np.arange(3 + split)
+
+    # their kept u: coordinate indices at most those of their negatives
     # (add[x, -x] = 0 is the least index in row x), weight 2 per nonzero one
     half = np.flatnonzero(np.arange(q) <= add.argmin(axis=1))
     x_u, y_u = (c.ravel() for c in np.meshgrid(half, half, indexing="ij"))
+    plane = counted[cls[x_u, y_u]]
+    x_u, y_u, plane = x_u[plane >= 0], y_u[plane >= 0], plane[plane >= 0]
     weight = np.where(x_u > 0, 2, 1) * np.where(y_u > 0, 2, 1)
-    group = cls[x_u, y_u] * 5 + weight  # (class, weight), weight in {1, 2, 4}
+    group = plane * 5 + weight  # (plane, weight), weight in {1, 2, 4}
     order = np.argsort(group)
     bounds = np.flatnonzero(np.diff(group[order])) + 1
 
-    counts = np.zeros((n_classes, n_classes**2), dtype=np.int64)
+    planes = np.zeros((3 + split, n_classes**2), dtype=np.int64)
     for members in np.split(order, bounds):
-        key = by_y[y_u[members, None], add[x_u[members]]]  # key[u, x_v, y_v]
+        key = cls.take(add[x_u[members], :, None] * q + add[y_u[members], None, :])
         key += key_v
-        i, w = divmod(int(group[members[0]]), 5)
-        counts[i] += w * np.bincount(key.ravel(), minlength=n_classes**2)
-    counts = counts.reshape(n_classes, n_classes, n_classes)
+        t, w = divmod(int(group[members[0]]), 5)
+        planes[t] += w * np.bincount(key.ravel(), minlength=n_classes**2)
+
+    # plane i = mu r reads plane r at j/mu: div[m, mu_m t] = t for the m-th
+    # square mu_m; the rows of 0 and the isotropic class read their own plane
+    squares = np.flatnonzero(chi == 1)
+    div = np.empty((len(squares), q), dtype=np.int64)
+    div[np.arange(len(squares))[:, None], spec.mul(squares[:, None], np.arange(q))] = np.arange(q)
+    source = counted.copy()
+    perm = np.tile(np.arange(n_classes), (n_classes, 1))
+    for r in (1, g):
+        rows = spec.mul(squares, r)
+        source[rows] = counted[r]
+        perm[rows, :q] = div
+    counts = np.empty((n_classes,) * 3, dtype=np.int64)
+    for i, (t, row) in enumerate(zip(source.tolist(), perm)):
+        counts[i] = planes[t].take(row[:, None] * n_classes + row)
 
     sizes = np.bincount(cls.ravel(), minlength=n_classes)
     return StructureTable(params, classes, sizes, counts, "oracle", split)

@@ -592,7 +592,7 @@ def test_raised_cap_warns_only_when_an_oracle_runs(args, warns, tmp_path):
     out = tmp_path / "out"
     r = run_main(*args, "--out", str(out))
     assert r.returncode == 0, r.stderr
-    warning = "warning: enumeration cap raised to 200; O(q^4) oracle may be slow"
+    warning = "warning: enumeration cap raised to 200; O(q^3) oracle may be slow"
     assert (r.stderr.splitlines()[:1] == [warning]) is warns, r.stderr
     assert r.stderr.count("warning:") == warns
 

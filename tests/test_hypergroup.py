@@ -30,6 +30,7 @@ from conicwalk import (
 from conicwalk.cli import admissible_prime_powers
 from conicwalk.conic_geometry import class_sizes
 from conicwalk.errata import errata_entries, published_six_step_reference
+from conicwalk.hypergroup import _fraction_texts
 
 from conftest import (
     FIVE_FIELDS,
@@ -86,7 +87,10 @@ def test_row_sums_and_commutativity_oracle_gf9():
                                        # GF(3): the sign-flip fold keeps the indices
                                        # {0, 1}; GF(11): q = 3 (mod 4)
                                        (3, 1, True), (3, 1, False),
-                                       (11, 1, True), (11, 1, False)])
+                                       (11, 1, True), (11, 1, False),
+                                       # GF(13): q = 1 (mod 4), and the dilation fold
+                                       # gathers five planes from each of 1 and g
+                                       (13, 1, True), (13, 1, False)])
 @pytest.mark.parametrize("seed", [None, 11])
 def test_oracle_matches_scalar_pair_count(p, d, split, seed):
     # all q^4 ordered pairs (u, v) counted with scalar point addition and
@@ -294,6 +298,20 @@ def test_step_s_counts_are_the_step_1_counts_relabelled(p, d):
         relabel = np.append(spec.mul(s, np.arange(spec.q)), np.arange(spec.q, len(classes)))
         step_s = closed_row(weighted, classes, classes[s])
         assert np.array_equal(step_s[np.ix_(relabel, relabel)], step_1), s
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (31, 1), (7, 2)])
+def test_closed_form_is_dilation_invariant(p, d):
+    # (u, v) -> (lambda u, lambda v) scales Q by mu = lambda^2 and fixes the
+    # origin and the null cone: C[mu i, mu j, mu k] = C[i, j, k] for every
+    # square mu, the isotropic class (last when q = 1 (mod 4)) staying put.
+    # The oracle gathers its planes by this identity; here the closed form,
+    # which is not built on it, obeys it too
+    spec = make_field(p, d)
+    counts = build_table(ConicParams(spec, 1, 1)).counts
+    for mu in [s for s in range(2, spec.q) if spec.chi_idx(s) == 1]:
+        scaled = np.append(spec.mul(mu, np.arange(spec.q)), np.arange(spec.q, len(counts)))
+        assert np.array_equal(counts[np.ix_(scaled, scaled, scaled)], counts), mu
 
 
 # sha256 of the little-endian int64 counts of build_table(params,
@@ -548,6 +566,43 @@ def test_csv_blocks_and_json_rows_are_the_reduced_entries(t):
         [[f"{a}/{b}" for a, b in zip(nr, dr)] for nr, dr in zip(nplane, dplane)]
         for nplane, dplane in zip(nums, dens)
     ]
+
+
+@st.composite
+def _counts_over_denominators(draw):
+    """Counts of one to three dimensions over a denominator broadcast to them:
+    one scalar, one per row (the last index broadcast), or one per entry,
+    most of them distinct; all-zero counts at top 0 (span 1)."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    top = draw(st.sampled_from([0, 1, 9, 5000]))
+    counts = np.array(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)),
+                      dtype=np.int64).reshape(shape)
+    den_shape = draw(st.sampled_from([(), shape[:-1] + (1,), shape]))
+    if den_shape == ():
+        return counts, draw(st.integers(1, 5000))
+    n = int(np.prod(den_shape))
+    dens = draw(st.lists(st.integers(1, 5000), min_size=n, max_size=n))
+    return counts, np.array(dens, dtype=np.int64).reshape(den_shape)
+
+
+@example((np.zeros((2, 3, 4), dtype=np.int64), 6), False)
+@example((np.zeros((2, 3, 4), dtype=np.int64), np.full((2, 3, 1), 7)), True)
+@given(_counts_over_denominators(), st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fraction_texts_are_the_entrywise_fractions(counts_dens, labelled):
+    counts, dens = counts_dens
+    labels = [f"c{k}" for k in range(counts.shape[-1])] if labelled else None
+    sep = "," if labelled else "/"
+    texts = _fraction_texts(counts, dens, sep, labels)
+    assert texts.shape == counts.shape
+    full = np.broadcast_to(dens, counts.shape)
+    expected = []
+    for idx, c in np.ndenumerate(counts):
+        v = Fraction(int(c), int(full[idx]))
+        prefix = f"{labels[idx[-1]]}," if labelled else ""
+        expected.append(f"{prefix}{v.numerator}{sep}{v.denominator}")
+    assert texts.ravel().tolist() == expected
 
 
 def test_errata_entries_shape():
