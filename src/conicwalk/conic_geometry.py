@@ -329,15 +329,24 @@ def verify_intersection_trichotomy(params: ConicParams) -> dict:
     For q <= ``EXHAUSTIVE_CENTER_CAP`` every unordered centre pair X != Y with
     nonzero separation quadrance is checked against every nonzero (i, j).
     Q(X, Z) = Q(0, Z - X) by the formula for Q, so relabelling Z -> Z - X
-    gives the pair (X, X + D) the intersection histogram of (0, D): the check
-    compares with the prediction the histograms of the pairs (0, D), each
-    weighted by the q^2 pairs (X, X + D) it stands for.  One D of each pair
-    {D, -D} suffices: both stand for the same unordered pairs, and
-    relabelling Z -> Z - D makes the histogram of (0, -D) the transpose of
-    that of (0, D), read against the same prediction slice as
-    Q(0, -D) = Q(0, D).  The kept D are read in blocks of q quadrance grid
-    rows, the points (x1, .), so the check holds O(q^3).  Larger fields
-    check ``SAMPLE_PAIRS`` centre pairs drawn under ``SAMPLE_SEED``.
+    gives the pair (X, X + D) the intersection histogram H_D of (0, D), with
+    H_D[i, j] the number of points Z at Q(0, Z) = i and Q(D, Z) = j: each
+    kept D stands for the q^2 pairs (X, X + D).  One D of each pair {D, -D}
+    is kept, the one with the smaller point id: both stand for the same
+    unordered pairs, and relabelling Z -> Z - D makes H_-D the transpose of
+    H_D, read against the same prediction slice as Q(0, -D) = Q(0, D).
+
+    Dilation certificate: every nonzero D is lambda R for one lambda != 0 and
+    one representative R, a point (1, y) or (0, 1).  Z -> lambda Z is additive
+    and Q(lambda Z) = mu Q(Z), mu = lambda^2, so H_D[mu i, mu j] = H_R[i, j]
+    and Q(0, D) = mu Q(0, R).  Every kept D matches the prediction when
+    (A) the prediction table is invariant under (i, j, k) -> mu0 (i, j, k),
+    mu0 = g^2 the generator of the squares, and (B) H_R matches it for every
+    R at a nonzero quadrance: one gather and q + 2 quadrance grid rows,
+    O(q^3) in time and memory.  When either fails, the histograms of the
+    kept D, read in blocks of q grid rows (the points (x1, .)), list the
+    mismatches.  Larger fields check ``SAMPLE_PAIRS`` centre pairs drawn
+    under ``SAMPLE_SEED``.
 
     Returns a summary dict with the number of unordered centre pairs checked
     and the first 20 mismatches, each (x, y, i, j, measured, predicted) for
@@ -345,17 +354,40 @@ def verify_intersection_trichotomy(params: ConicParams) -> dict:
     """
     q = params.q
     n_pts = q * q
+
+    def compare(x, ys):
+        """The quadrances from x, the mask of the ys at a nonzero one, and
+        there the measured and the predicted (i, j) histograms, i, j != 0."""
+        rows = quadrance_value_grid(params, np.concatenate(([x], ys)))
+        # histogram [r, i, j]: the points Z with Q(x, Z) = i and Q(ys[r], Z) = j
+        keys = (np.arange(len(ys))[:, None] * q + rows[0]) * q + rows[1:]
+        counts = np.bincount(keys.ravel(), minlength=len(ys) * n_pts)
+        k = rows[0][ys]
+        valid = k != 0
+        measured = counts.reshape(len(ys), q, q)[valid][:, 1:, 1:]
+        return rows[0], valid, measured, predict(k[valid])[1:, 1:, :].transpose(2, 0, 1)
+
+    pairs_checked, mismatches = 0, []
     if q <= EXHAUSTIVE_CENTER_CAP:
+        spec = params.spec
         table = predicted_intersection_table(params)
 
         def predict(ks):
             return table[:, :, ks]
 
         # one D of each pair {D, -D}, the one with the smaller point id
-        neg = params.spec.neg_table()
+        neg = spec.neg_table()
         half = np.flatnonzero(np.arange(n_pts) < (neg[:, None] * q + neg).ravel())
-        blocks = np.split(half, np.searchsorted(half, np.arange(q, n_pts, q)))
-        centre_pairs = [(0, ds, n_pts) for ds in blocks]
+        # the representatives (0, 1) and (1, y), by point id
+        origin, _, measured, expected = compare(0, np.r_[1, q:2 * q])
+        scale = spec.mul(spec.mul(spec.generator, spec.generator), np.arange(q))
+        if (np.array_equal(table[np.ix_(scale, scale, scale)], table)
+                and np.array_equal(measured, expected)):
+            pairs_checked = n_pts * int(np.count_nonzero(origin[half]))
+            centre_pairs = []
+        else:
+            blocks = np.split(half, np.searchsorted(half, np.arange(q, n_pts, q)))
+            centre_pairs = [(0, ds, n_pts) for ds in blocks]
     else:
         rng = np.random.default_rng(SAMPLE_SEED)
         starts = rng.integers(0, n_pts, size=SAMPLE_PAIRS)
@@ -371,17 +403,9 @@ def verify_intersection_trichotomy(params: ConicParams) -> dict:
         centre_pairs = [(x, np.array([y]), 1)
                         for x, y in zip(starts.tolist(), others.tolist()) if x != y]
 
-    pairs_checked, mismatches = 0, []
     # each centre x with centres ys, every pair standing for ``weight`` pairs
     for x, ys, weight in centre_pairs:
-        rows = quadrance_value_grid(params, np.concatenate(([x], ys)))
-        # histogram [r, i, j]: the points Z with Q(x, Z) = i and Q(ys[r], Z) = j
-        keys = (np.arange(len(ys))[:, None] * q + rows[0]) * q + rows[1:]
-        counts = np.bincount(keys.ravel(), minlength=len(ys) * n_pts)
-        k = rows[0][ys]
-        valid = k != 0
-        measured = counts.reshape(len(ys), q, q)[valid][:, 1:, 1:]
-        expected = predict(k[valid])[1:, 1:, :].transpose(2, 0, 1)
+        _, valid, measured, expected = compare(x, ys)
         pairs_checked += weight * int(valid.sum())
         for r, i, j in np.argwhere(measured != expected)[:20 - len(mismatches)]:
             mismatches.append((x, int(ys[valid][r]), int(i + 1), int(j + 1),

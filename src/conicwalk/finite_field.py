@@ -240,6 +240,12 @@ class FieldSpec:
         log = self._logs()
         return self._exp_np.take(log[i] + log[j])
 
+    @property
+    def generator(self) -> int:
+        """Index of g, the primitive element of exp/log."""
+        self._logs()
+        return int(self._exp_np[1])
+
     def neg_table(self) -> np.ndarray:
         """(q,) int64: the index of -x at x."""
         if self._neg_np is None:
@@ -289,7 +295,7 @@ class FieldSpec:
         if self._add_np is None:
             p = self.p
             r = np.arange(p, dtype=np.int64)
-            # the residue sum: row a is r rotated left by a, 
+            # the residue sum: row a is r rotated left by a, base[a, b] = (a + b) mod p
             base = np.lib.stride_tricks.sliding_window_view(np.concatenate([r, r]), p)[:p]
             # index a = p * a_hi + a_0: add = p * add[a_hi, b_hi] + base[a_0, b_0]
             add = base.copy()

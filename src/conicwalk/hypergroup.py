@@ -16,12 +16,14 @@ scales Q = a x^2 + b y^2 by lambda^2 (see ``oracle_table``).
 Both sources produce the same single representation: the int64 count array
 C[i,j,k] = n[i,j,k] * N_i * N_j (the number of translation pairs of class i
 by class j landing in class k) together with the class sizes N.  The closed
-form emits the per-point plane c[i, k] = C[i,j,k] / N_i, the convolution of a
-point of class i with class j, which is the walk's step matrix at j = s;
-``build_table`` scales each plane by N_i.  Every other view -- floats,
-``Fraction`` values, CSV, JSON, axiom and equality checks -- is derived from
-those integers, so exactness never depends on rational arithmetic in the hot
-path.
+form emits the per-point counts c[i, j, k] = C[i,j,k] / N_i, the convolution
+of a point of class i with class j, from one broadcast character call over
+(i, j, k); the zero and isotropic rows and columns are set by index, in one
+place.  ``closed_row`` reads the plane j = s, the walk's step matrix, and
+``build_table`` the whole cube in blocks of rows i, each scaled by N_i.
+Every other view -- floats, ``Fraction`` values, CSV, JSON, axiom and
+equality checks -- is derived from those integers, so exactness never
+depends on rational arithmetic in the hot path.
 
 For q = 1 (mod 4) the closed form follows the enumeration oracle where the
 commonly stated case analysis is wrong: the row of (isotropic, j) is uniform
@@ -51,6 +53,9 @@ from .errors import CapExceeded, IndexInvalid
 
 MAX_MISMATCHES = 50  # differing triples listed by ``StructureTable.mismatches``
 MAX_VIOLATIONS = 20  # violating indices listed per axiom by ``verify_axioms``
+# entries per row block of the closed-form table: the block's temporaries, itself
+# and about three of its size in the character call, stay small beside the table
+CLOSED_BLOCK = 2**13
 
 
 def _fraction_texts(counts: np.ndarray, dens, sep: str = "/", labels=None) -> np.ndarray:
@@ -315,6 +320,47 @@ def oracle_table(
 # closed form
 # ---------------------------------------------------------------------------
 
+def _closed_counts(
+    params: ConicParams, rows: np.ndarray, cols: np.ndarray, published_isotropic_row: bool = False
+) -> np.ndarray:
+    """The closed-form per-point counts c[i, j, k] = n[i, j, k] * N_j (int64,
+    shape (len(rows), len(cols), n), k in canonical class order) for the
+    class positions i in ``rows`` and j in ``cols``, the isotropic class at
+    position q: the number of points of class j that carry one fixed point
+    of class i into class k.  One character call covers the finite nonzero
+    (i, j) over every finite k; the zero and isotropic rows and columns are
+    set by index."""
+    q = params.q
+    out = np.zeros((len(rows), len(cols), q + params.split), dtype=np.int64)
+    fin_i, fin_j = (0 < rows) & (rows < q), (0 < cols) & (cols < q)
+    # finite i x finite j: n = (1 + chi(f)) / N over the finite classes k,
+    # N = N_j the size of every nonzero finite class
+    r, t = np.nonzero(fin_i[:, None] & fin_j)
+    i, j = rows[r], cols[t]
+    out[r, t, :q] = discriminant_character(params.spec, i[:, None], j[:, None], np.arange(q)) + 1
+    if params.split:
+        # the null cone: the origin when i = j, else the isotropic class
+        out[r, t, 0] = i == j
+        out[r, t, q] = np.where(i == j, 0, 2)
+        # iso x iso: n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
+        iso_i, iso_j = rows == q, cols == q
+        both = iso_i[:, None] & iso_j
+        out[both, :q] = 1
+        out[both, q] = q - 2
+        # one isotropic side, the other the finite class f = i + j - q: n = 1/w
+        # off f, times N_iso = 2w or N_f = w; the stated variant puts mass on
+        # the zero class, the enumeration none
+        r, t = np.nonzero(fin_i[:, None] & iso_j | iso_i[:, None] & fin_j)
+        out[r, t] = 1 + (cols[t, None] == q)
+        out[r, t, rows[r] + cols[t] - q] = 0
+        if not published_isotropic_row:
+            out[r, t, 0] = 0
+    # n[i, 0, k] = delta(i, k) and n[0, j, k] = delta(j, k): c = N_j at k = i + j
+    r, t = np.nonzero((rows == 0)[:, None] | (cols == 0))
+    out[r, t, rows[r] + cols[t]] = class_sizes(params)[cols[t]]
+    return out
+
+
 def closed_row(
     params: ConicParams,
     rows: list[ClassIndex],
@@ -324,44 +370,10 @@ def closed_row(
     """The closed-form per-point rows c[ci, k] = n[ci, cj, k] * N_cj over k
     (int64, canonical class order), one per class ci of ``rows``, stacked:
     the number of points of class cj that carry one fixed point of class ci
-    into class k.  For cj = s it is the walk's step matrix.  One character
-    call covers the (ci, k) grid of the finite nonzero rows; the zero and
-    isotropic rows and columns are set by index."""
-    q, r = params.q, np.arange(len(rows))
-    pos = np.array([q if c.is_isotropic else c.value.idx for c in rows], dtype=np.int64)
-    out = np.zeros((len(rows), q + params.split), dtype=np.int64)
-    if cj.is_zero:
-        # n[ci, 0, k] = delta(ci, k)
-        out[r, pos] = 1
-        return out
-    j = q if cj.is_isotropic else cj.value.idx
-    fin = (pos > 0) & (pos < q)
-    if j < q:
-        # finite i x finite j: n = (1 + chi(f)) / N over the finite classes k,
-        # N = N_j the size of every nonzero finite class
-        chi = discriminant_character(params.spec, pos[fin, None], j, np.arange(q))
-        out[fin, :q] = chi + 1
-        if params.split:
-            # the null cone: the origin when i = j, else the isotropic class
-            same = pos[fin] == j
-            out[fin, 0] = same
-            out[fin, q] = np.where(same, 0, 2)
-    if params.split:
-        if j == q:
-            # iso x iso: n = 1/(2w) on each finite class, (q-2)/(2w) on iso; N_iso = 2w
-            out[pos == q, :q] = 1
-            out[pos == q, q] = q - 2
-        # one isotropic side, the other the finite class f: n = 1/w off f, times
-        # N_iso = 2w or N_f = w; the stated variant puts mass on the zero class,
-        # the enumeration none
-        one = fin if j == q else pos == q
-        per_point = 2 if j == q else 1
-        out[one] = per_point
-        out[r[one], pos[one] if j == q else j] = 0
-        out[one, 0] = per_point if published_isotropic_row else 0
-    # n[0, cj, k] = delta(cj, k)
-    out[pos == 0, j] = class_size(cj, params)
-    return out
+    into class k.  For cj = s it is the walk's step matrix."""
+    q = params.q
+    pos = np.array([q if c.is_isotropic else c.value.idx for c in [*rows, cj]], dtype=np.int64)
+    return _closed_counts(params, pos[:-1], pos[-1:], published_isotropic_row)[:, 0]
 
 
 def structure_constant(
@@ -392,10 +404,14 @@ def build_table(
         raise ValueError(f"unknown source {source!r}")
     classes = index_set(params)
     sizes = class_sizes(params)
-    # one call per column class j gives the plane C[:, j, :] / N_i
-    counts = np.stack(
-        [closed_row(params, classes, cj, published_isotropic_row) for cj in classes], axis=1)
-    counts *= sizes[:, None, None]
+    n = len(classes)
+    counts = np.empty((n, n, n), dtype=np.int64)
+    # C[i, j, k] = N_i c[i, j, k], in blocks of rows of about CLOSED_BLOCK entries
+    cols, step = np.arange(n), max(1, CLOSED_BLOCK // n**2)
+    for start in range(0, n, step):
+        rows = cols[start:start + step]
+        np.multiply(_closed_counts(params, rows, cols, published_isotropic_row),
+                    sizes[rows, None, None], out=counts[start:start + step])
     return StructureTable(params, classes, sizes, counts, "closed-form",
                           validate=not published_isotropic_row)
 

@@ -50,14 +50,14 @@ def test_constants_verify_oracle_ok(tmp_path):
 def test_oracle_mismatch_line_counts_every_differing_triple(tmp_path, monkeypatch):
     from conicwalk import ConicParams, hypergroup, make_field, oracle_table
 
-    real = hypergroup.closed_row
+    real = hypergroup._closed_counts
 
-    def reversed_columns(params, rows, cj, published_isotropic_row=False):
-        out = real(params, rows, cj, published_isotropic_row)
+    def reversed_columns(params, rows, cols, published_isotropic_row=False):
+        out = real(params, rows, cols, published_isotropic_row)
         # each row keeps its sum, so the table still passes validation
-        return out[:, ::-1] if cj.value.idx >= 3 else out
+        return np.where((cols >= 3)[:, None], out[..., ::-1], out)
 
-    monkeypatch.setattr(hypergroup, "closed_row", reversed_columns)
+    monkeypatch.setattr(hypergroup, "_closed_counts", reversed_columns)
     params = ConicParams(make_field(7, 1), 1, 1)
     table, oracle = hypergroup.build_table(params), oracle_table(params)
     differing = sum(a != b for a, b in zip(table.to_csv_rows(), oracle.to_csv_rows()))

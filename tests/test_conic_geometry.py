@@ -371,23 +371,77 @@ def test_blocked_trichotomy_reports_the_single_pass_mismatches(p, d, seed, monke
     assert len({y // spec.q for _, y, *_ in mismatches}) > 1
 
 
+def _brute_histograms(params):
+    """The points by id, and the (q, q) histogram H_D of each point D by id:
+    H_D[i, j] counts the points Z with Q(0, Z) = i and Q(D, Z) = j, by the
+    scalar quadrance."""
+    q = params.q
+    points = [_pt(params.spec, *divmod(u, q)) for u in range(q * q)]
+    from_origin = [quadrance(points[0], z, params).idx for z in points]
+    histograms = []
+    for centre in points:
+        h = np.zeros((q, q), dtype=np.int64)
+        for i, z in zip(from_origin, points):
+            h[i, quadrance(centre, z, params).idx] += 1
+        histograms.append(h)
+    return points, histograms
+
+
 @pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
 def test_minus_d_histogram_is_the_transposed_d_histogram(p, d, seed):
     # why the exhaustive check compares one D of each pair {D, -D}
     spec = make_field(p, d)
     params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
     q = spec.q
-    points = [_pt(spec, *divmod(u, q)) for u in range(q * q)]
-    from_origin = [quadrance(points[0], z, params).idx for z in points]
-
-    def histogram(centre):
-        h = np.zeros((q, q), dtype=np.int64)
-        for i, z in zip(from_origin, points):
-            h[i, quadrance(centre, z, params).idx] += 1
-        return h
-
+    points, histograms = _brute_histograms(params)
     for u in points[1:]:
-        assert np.array_equal(histogram(Point(-u.x, -u.y)), histogram(u).T)
+        minus_u = spec.neg_idx(u.x.idx) * q + spec.neg_idx(u.y.idx)
+        assert np.array_equal(histograms[minus_u], histograms[u.x.idx * q + u.y.idx].T)
+
+
+@pytest.mark.parametrize("p,d,seed", [(7, 1, None), (3, 2, 5)])
+def test_dilated_d_histogram_is_the_rescaled_d_histogram(p, d, seed):
+    # why the exhaustive check's certificate reads only the representatives
+    # (0, 1) and (1, y): H_lD[l^2 i, l^2 j] = H_D[i, j] for every l != 0, and
+    # the representatives times the q - 1 dilations are every nonzero point once
+    spec = make_field(p, d)
+    params = ConicParams(spec, *((1, 1) if seed is None else seeded_weights(spec, seed)))
+    q = spec.q
+    points, histograms = _brute_histograms(params)
+    representatives = [1, *range(q, 2 * q)]
+    assert [divmod(u, q) for u in representatives] == [(0, 1), *((1, y) for y in range(q))]
+    covered = []
+    for lam in spec.elements()[1:]:
+        scaled = [(lam * lam * e).idx for e in spec.elements()]  # mu i at i, mu = l^2
+
+        def dilated(u):
+            return (lam * points[u].x).idx * q + (lam * points[u].y).idx
+
+        for u in range(1, q * q):
+            assert np.array_equal(histograms[dilated(u)][np.ix_(scaled, scaled)],
+                                  histograms[u]), (lam, u)
+        covered += [dilated(u) for u in representatives]
+    assert sorted(covered) == list(range(1, q * q))
+
+
+@pytest.mark.parametrize("q,p,d", admissible_prime_powers(3, 31))
+def test_dilation_certificate_decides_alone(q, p, d, monkeypatch):
+    # on a correct grid and prediction, the exhaustive check reads the origin
+    # and the q + 1 representatives in one grid call, never the kept D
+    spec = make_field(p, d)
+    real = conic_geometry.quadrance_value_grid
+    calls = []
+
+    def counted(params, rows):
+        calls.append(len(rows))
+        return real(params, rows)
+
+    monkeypatch.setattr(conic_geometry, "quadrance_value_grid", counted)
+    for weights in [(1, 1), seeded_weights(spec, 1), seeded_weights(spec, 2)]:
+        calls.clear()
+        result = verify_intersection_trichotomy(ConicParams(spec, *weights))
+        assert result["ok"] and calls == [q + 2], weights
+        assert result["pairs_checked"] == TRICHOTOMY_PAIRS.get((p, d), result["pairs_checked"])
 
 
 # the transposed entry (2, 1, 3) is read only from the transposed cell of
