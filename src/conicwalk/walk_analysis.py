@@ -4,14 +4,16 @@ The kernel K(i, j) = n[i, s, j] is stored as the integer step matrix
 c[i, j] = n[i, s, j] N_s, the number of points of the step circle that
 carry a fixed point of class i into class j (``closed_row`` at the step
 class emits it), plus the step size N_s.  So K = c / N_s and
-K^m = c^m / N_s^m.  The float64 matrix and the ``Fraction`` view are derived
-from those integers.  Exact statements use integer arithmetic:
-stationarity of the class-size law is the identity
-sum_i N_i c[i, j] = N_s N_j at every q, and the minorization constant is
-exact while N_s^m < 2^63, from the int64 origin row e_0 c^m.  Mixing times
-and TV curves run in float64 with explicit tolerances (mixing times here
-are O(q) steps, so accumulated error stays far below them), on one forward
-loop of vector-matrix products.
+K^m = c^m / N_s^m.  The float64 matrix (built on first use) and the
+``Fraction`` view are derived from those integers.  Exact statements use
+integer arithmetic: stationarity of the class-size law is the identity
+sum_i N_i c[i, j] = N_s N_j at every q, and one int64 forward loop from the
+origin (``Kernel._origin_walks``) gives the worst-start TV curve and the
+mixing time, exact while q^2 N_s^t < 2^63, the minorization constant, exact
+while N_s^m < 2^63, and a certificate of ergodicity.  Past those guards TV
+curves run in float64 with explicit tolerances (mixing times here are O(q)
+steps, so accumulated error stays far below them) and the minorization
+constant is a float64 matrix power.
 
 The origin class is the worst start, for TV and for minorization.  The
 classes are the orbits of O(Q), which fixes the step circle, so the point
@@ -78,11 +80,40 @@ class Kernel:
             t = bad[0]
             raise ValueError(f"kernel row {t} sums to "
                              f"{Fraction(int(sums[t]), self.step_size)} != 1")
+        self._walks = [np.eye(1, self.size, dtype=np.int64)[0]]  # c^t e_0, t = 0, 1, ...
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """The float64 kernel K = c / N_s."""
         # int64 / int is one correctly rounded division: equals float(Fraction)
-        self.mat = self.step_counts / self.step_size
-        err = np.abs(self.mat.sum(axis=1) - 1.0).max()
+        mat = self.step_counts / self.step_size
+        err = np.abs(mat.sum(axis=1) - 1.0).max()
         if err > 1e-15:
             raise ValueError(f"float kernel row sum off by {err}")
+        return mat
+
+    @cached_property
+    def _balanced(self) -> bool:
+        """Detailed balance N_i c[i, j] = N_j c[j, i] in int64 (each side is
+        at most q^2 N_s), with class 0, the origin C[0], of size 1."""
+        flow = self.sizes[:, None] * self.step_counts
+        return bool(self.sizes[0] == 1 and np.array_equal(flow, flow.T))
+
+    def _exact_at(self, t: int, factor: int = 1) -> bool:
+        """Balanced, and factor * N_s^t < 2^63: int64 then holds the origin
+        walks to step t (factor 1) and the TV numerators at t (factor q^2).
+        A large t is refused before N_s^t, an int of t log2(N_s) bits, is built."""
+        return (self._balanced and t * (self.step_size.bit_length() - 1) < 63
+                and factor * self.step_size ** t < 2 ** 63)
+
+    def _origin_walks(self, t: int) -> np.ndarray:
+        """w_t = c^t e_0 in int64, for ``_exact_at(t)``, every step kept: w_t(j)
+        counts the t-step walks from the origin to one point of class j.  By
+        detailed balance, N_i c^t[i, j] = N_j c^t[j, i], and N_0 = 1, the
+        origin row is e_0 c^t = N w_t, and the product c w needs no transpose."""
+        while len(self._walks) <= t:
+            self._walks.append(self.step_counts @ self._walks[-1])
+        return self._walks[t]
 
     @property
     def size(self) -> int:
@@ -106,7 +137,7 @@ class Kernel:
     @cached_property
     def ergodicity(self) -> ErgodicityReport:
         """The ergodicity verdict, computed once per kernel."""
-        return ergodicity_check(self)
+        return _ergodicity_verdict(self)
 
     def require_ergodic(self) -> None:
         """Raise ``NotErgodic``, with its reason, unless the walk is ergodic."""
@@ -289,7 +320,7 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
     """Irreducibility by reachability from class 0, on BFS frontiers of the
     support digraph (row 0, v K) and its transpose (row 1, K v), advanced
     together; aperiodicity by the gcd of cycle-length differences through
-    class 0.  ``Kernel.ergodicity`` caches it.
+    class 0.  ``Kernel.ergodicity`` runs it where its certificate fails.
 
     The period is the gcd of level[u] + 1 - level[v] over the support edges
     u -> v, for the BFS levels from class 0.  It depends only on which level
@@ -321,6 +352,18 @@ def ergodicity_check(k: Kernel) -> ErgodicityReport:
         period=period,
         unreachable=[k.classes[t].label() for t in unreachable.tolist()],
     )
+
+
+def _ergodicity_verdict(k: Kernel) -> ErgodicityReport:
+    """``Kernel.ergodicity``: certified from the origin walks, else
+    ``ergodicity_check``, which then names the reason.  Detailed balance makes
+    the support symmetric, so w_m > 0 at the reference power m makes the walk
+    irreducible, and a nonzero column 0 of c then gives C[0] the return times
+    m and m + 1: period 1.  No O(Q)-orbit argument is needed."""
+    m, _ = minorization_reference(k.q, k.branch)
+    if k._exact_at(m) and k._origin_walks(m).all() and k.step_counts[:, 0].any():
+        return ErgodicityReport(ergodic=True, irreducible=True, period=1, unreachable=[])
+    return ergodicity_check(k)
 
 
 def stationary(k: Kernel, method: str = "exact") -> Distribution:
@@ -357,20 +400,39 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     return 0.5 * float(np.abs(mu.probs - nu.probs).sum())
 
 
-def _worst_tv(k: Kernel, pi: Distribution):
-    """Worst-start TV to pi at t = 0, 1, ...: the TV from the origin class
-    (see the module docstring)."""
-    if pi.classes != k.classes:
+def _tv_numerator(w: np.ndarray, sizes: np.ndarray, scale: int) -> int:
+    """q^2 S TV(N w / S, N / q^2), for N the class sizes, of sum q^2, and w
+    int64 with N w of mass S = ``scale``: the law N w / S is uniform on each
+    class, as the origin's is.  TV is a sum of positive parts (Levin, Peres
+    and Wilmer 2009, Prop. 4.2), here of D_j = N_j S - q^2 N_j w_j.  int64
+    while q^2 S < 2^63: S - q^2 w_j lies in [-q^2 S, S], and the sum in
+    [0, q^2 S]."""
+    return int(sizes @ np.maximum(scale - int(sizes.sum()) * w, 0))
+
+
+def _worst_tv(k: Kernel, pi: Distribution | None):
+    """Worst-start TV to pi (None: the class-size law) at t = 0, 1, ...: the
+    TV from the origin class (see the module docstring).  To the class-size
+    law it is an exact ``Fraction`` while ``k._exact_at(t, q^2)``, float64
+    after; to any other pi it is float64 throughout."""
+    if pi is not None and pi.classes != k.classes:
         raise IndexMismatch("stationary vector on a different index set")
+    total = int(k.sizes.sum())
+    probs = k.sizes / total if pi is None else pi.probs
+    t, exact = 0, np.array_equal(probs, k.sizes / total)  # the class-size law, as in ``haar``
+    while exact and k._exact_at(t, total):
+        scale = k.step_size ** t
+        yield Fraction(_tv_numerator(k._origin_walks(t), k.sizes, scale), total * scale)
+        t += 1
     start = np.zeros(k.size)
     start[k.position(ClassIndex.finite(k.params.spec.zero))] = 1.0
-    for vec in _laws(k, start):
-        yield 0.5 * float(np.abs(vec - pi.probs).sum())
+    for vec in itertools.islice(_laws(k, start), t, None):
+        yield 0.5 * float(np.abs(vec - probs).sum())
 
 
 def max_tv_curve(k: Kernel, pi: Distribution, t_max: int) -> list[float]:
     """Worst-initial-state TV to pi for t = 0..t_max."""
-    return list(itertools.islice(_worst_tv(k, pi), t_max + 1))
+    return [float(tv) for tv in itertools.islice(_worst_tv(k, pi), t_max + 1)]
 
 
 def minorization_reference(q: int, branch: int) -> tuple[int, Fraction]:
@@ -392,51 +454,47 @@ def mixing_time_bound(q: int, branch: int) -> int:
     return m * math.ceil((1.0 + math.log(2.0)) * c.denominator / c.numerator)
 
 
-def mixing_time(k: Kernel, pi: Distribution, eps: float,
+def mixing_time(k: Kernel, pi: Distribution | None, eps: float,
                 return_curve: bool = False):
-    """Smallest t with worst-start TV at most eps; the curve is checked to be
-    non-increasing (it provably is for these kernels)."""
+    """Smallest t with worst-start TV to pi (None: the class-size law) at
+    most eps.  The curve is checked to be non-increasing, as it provably is
+    for these kernels: exactly on its exact entries, which are also compared
+    with eps exactly, and within MONOTONE_SLACK on float64 ones.  Each
+    returned curve entry is the float nearest to its value."""
     if not eps > 0:  # also rejects nan
         raise ValueError("eps must be positive")
     k.require_ergodic()
     limit = 100 * mixing_time_bound(k.q, k.branch)
-    curve = []
+    bound = Fraction(eps) if math.isfinite(eps) else eps
+    curve, prev = [], None
     for t, tv in enumerate(_worst_tv(k, pi)):
-        if curve and tv > curve[-1] + MONOTONE_SLACK:
-            raise InternalCheckError(f"worst-start TV increased at t={t}: {curve[-1]} -> {tv}")
-        curve.append(tv)
-        if tv <= eps:
+        if prev is not None and (tv > prev if isinstance(tv, Fraction)
+                                 else tv > prev + MONOTONE_SLACK):
+            raise InternalCheckError(f"worst-start TV increased at t={t}: "
+                                     f"{curve[-1]} -> {float(tv)}")
+        curve.append(float(tv))
+        if tv <= bound:
             return (t, curve) if return_curve else t
         if t > limit:
             raise WalkTimeout(f"no mixing below eps={eps} within {limit} steps")
+        prev = tv
 
 
 def minorization_constant(k: Kernel, m: int) -> tuple[Fraction | None, float]:
     """min over (i, j) of K^m(i, j) / pi_j for the class-size law pi, exact
-    while N_s^m < 2^63.
+    while N_s^m < 2^63 (``Kernel._exact_at``).
 
-    That minimum is the origin row's (see the module docstring), so it is
-    min_j v_j q^2 / (N_s^m N_j) for v = e_0 c^m, m integer vector products
-    in int64: every entry and partial sum of v is at most N_s^m.  The exact
-    minimum compares one ``Fraction`` per distinct class size, at the
-    smallest v_j of that size.  Above 2^63 the constant is float only,
+    That minimum is the origin row's (see the module docstring),
+    min_j v_j q^2 / (N_s^m N_j) for v = e_0 c^m = N w, w the origin walks:
+    q^2 min(w) / N_s^m.  Otherwise the constant is float only,
     (None, float), from the float64 power of the whole kernel."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    # N_s^m >= 2^(m (bit_length - 1)): a large m takes the float path before
-    # its power, an int of about m log2(N_s) bits, is built
-    scale = None if m * (k.step_size.bit_length() - 1) >= 63 else k.step_size ** m
     total = int(k.sizes.sum())  # q^2
-    if scale is None or scale >= 2 ** 63:
+    if not k._exact_at(m):
         mat = np.linalg.matrix_power(k.mat, m)
         return None, float((mat / (k.sizes / total)).min())
-    step_t = np.ascontiguousarray(k.step_counts.T)  # int64 c^T v: about 6x faster than v c
-    v = np.zeros(k.size, dtype=np.int64)
-    v[k.position(ClassIndex.finite(k.params.spec.zero))] = 1
-    for _ in range(m):
-        v = step_t @ v
-    exact = min(Fraction(int(v[k.sizes == n].min()) * total, scale * n)
-                for n in set(k.sizes.tolist()))
+    exact = Fraction(total * int(k._origin_walks(m).min()), k.step_size ** m)
     return exact, float(exact)
 
 
@@ -483,9 +541,8 @@ def geometric_decay_check(k: Kernel, pi: Distribution, m: int, c) -> list[DecayC
     """Worst-start TV at step m*n against (1-c)^n + slack for n = 1..DECAY_STEPS."""
     c = float(c)
     out = []
-    for n, measured in enumerate(
-            itertools.islice(_worst_tv(k, pi), m, m * DECAY_STEPS + 1, m), 1):
-        bound = (1.0 - c) ** n + DECAY_SLACK
+    for n, tv in enumerate(itertools.islice(_worst_tv(k, pi), m, m * DECAY_STEPS + 1, m), 1):
+        measured, bound = float(tv), (1.0 - c) ** n + DECAY_SLACK
         out.append(DecayCheck(n=n, measured=measured, bound=bound, ok=measured <= bound))
     return out
 
@@ -523,6 +580,7 @@ class MixingReport:
     step: str
     eps: float
     tau: int
+    tau_exact: bool  # the TV curve up to tau is exact, not float64
     tau_bound: int
     curve: list[float]
     minorization: dict  # minorization_check's verdict less reference_m and reference_applicable
@@ -535,8 +593,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
                   eps: float = 1.0 / (2.0 * math.e)) -> MixingReport:
     """Measured mixing time, proven bound, TV curve and minorization ratio."""
     k = kernel_for_step(params, s)
-    pi = _size_law(k.classes, k.sizes)  # the Haar law, on the kernel's class axis
-    tau, curve = mixing_time(k, pi, eps, return_curve=True)
+    tau, curve = mixing_time(k, None, eps, return_curve=True)
     minor = minorization_check(k)
     del minor["reference_m"], minor["reference_applicable"]
     return MixingReport(
@@ -546,6 +603,7 @@ def mixing_report(params: ConicParams, s: ClassIndex | None = None,
         step=k.step.label(),
         eps=eps,
         tau=tau,
+        tau_exact=k._exact_at(tau, int(k.sizes.sum())),
         tau_bound=mixing_time_bound(k.q, k.branch),
         curve=curve,
         minorization=minor,

@@ -158,6 +158,15 @@ def test_mixing_at_eps_1_reports_the_tv_at_t_0():
     assert len(mix["curve"]) == 1 and abs(mix["curve"][0] - 48 / 49) <= 1e-15
 
 
+@pytest.mark.parametrize("eps,tau,exact", [("0.18", 4, True), ("1e-12", 44, False)])
+def test_mixing_says_whether_tau_is_exact(eps, tau, exact):
+    # GF(13): the TV is exact while 169 * 12^t < 2^63, so for t <= 15
+    r = run_main("mixing", "--p", "13", "--eps", eps)
+    assert r.returncode == 0, r.stderr
+    mix = json.loads(r.stdout)["mixing"]
+    assert (mix["tau"], mix["tau_exact"], len(mix["curve"])) == (tau, exact, tau + 1)
+
+
 def test_minorize_gf13(tmp_path):
     out = tmp_path / "min.json"
     r = run_main("minorize", "--p", "13", "--steps", "6", "--out", str(out))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conicwalk import (
     BranchMismatch,
@@ -335,7 +336,7 @@ def test_not_ergodic_states_the_classes_that_do_not_communicate():
         mixing_time(k, haar(p7), 0.1)
 
 
-def test_boost_check_computes_the_ergodicity_verdict_once(monkeypatch):
+def _counted_bfs(monkeypatch):
     import conicwalk.walk_analysis as wa
 
     calls = []
@@ -345,6 +346,72 @@ def test_boost_check_computes_the_ergodicity_verdict_once(monkeypatch):
         return ergodicity_check(k)
 
     monkeypatch.setattr(wa, "ergodicity_check", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q,p,d", admissible_prime_powers(3, 127),
+                         ids=[str(q) for q, _, _ in admissible_prime_powers(3, 127)])
+def test_ergodicity_certificate_equals_the_bfs(q, p, d, monkeypatch):
+    calls = _counted_bfs(monkeypatch)
+    params = ConicParams(make_field(p, d), 1, 1)
+    steps = [None] + ([ClassIndex.isotropic(params.spec)] if params.split else [])
+    for s in steps:
+        k = kernel_for_step(params, s)
+        assert _report_tuple(k.ergodicity) == _report_tuple(ergodicity_check(k)), s
+    assert calls == []  # every one certified, none from the BFS
+
+
+def test_a_positive_origin_row_alone_certifies_nothing(monkeypatch):
+    # 0 reaches every class in one step, but no class returns to 0: without
+    # detailed balance the certificate fails, and the BFS names the reason
+    calls = _counted_bfs(monkeypatch)
+    steps = 7 * np.eye(7, dtype=np.int64)
+    steps[0] = 1
+    k = _unit_kernel(steps)
+    assert np.linalg.matrix_power(steps, 4)[0].all()
+    want = (False, False, None, ["1", "2", "3", "4", "5", "6"])
+    assert _report_tuple(k.ergodicity) == _reference_ergodicity(k) == want
+    assert calls == [k]
+
+
+def test_step_0_falls_back_to_the_bfs(monkeypatch):
+    calls = _counted_bfs(monkeypatch)
+    p7 = ConicParams(make_prime_field(7), 1, 1)
+    k = kernel_for_step(p7, _cls(p7.spec, 0))
+    with pytest.raises(NotErgodic, match=r"not ergodic: 6 classes do not communicate with C\[0\]$"):
+        mixing_time(k, None, 0.1)
+    assert calls == [k]
+
+
+def test_mixing_report_runs_no_float_walk(monkeypatch):
+    # the exact loop serves tau, the curve, minorization and ergodicity
+    import conicwalk.walk_analysis as wa
+
+    calls = _counted_bfs(monkeypatch)
+    kernels = []
+
+    def kept(params, s=None):
+        kernels.append(kernel_for_step(params, s))
+        return kernels[-1]
+
+    monkeypatch.setattr(wa, "kernel_for_step", kept)
+    rep = mixing_report(ConicParams(make_prime_field(31), 1, 1))
+    assert rep.tau_exact and rep.minorization["measured_exact"] is not None
+    assert calls == [] and "mat" not in vars(kernels[0])
+
+
+def test_boost_check_computes_the_ergodicity_verdict_once(monkeypatch):
+    # counts the verdict, certificate or BFS: an ergodic kernel runs no BFS
+    import conicwalk.walk_analysis as wa
+
+    calls = []
+    verdict = wa._ergodicity_verdict
+
+    def counted(k):
+        calls.append(k)
+        return verdict(k)
+
+    monkeypatch.setattr(wa, "_ergodicity_verdict", counted)
     params = ConicParams(make_prime_field(13), 1, 1)
     k = kernel_for_step(params)
     pi = stationary(k)
@@ -467,6 +534,91 @@ def test_mixing_time_same_for_sampled_steps_larger_fields():
         taus = {mixing_time(kernel_for_step(params, _cls(spec, s)), pi, EPS_REF)
                 for s in sampled}
         assert len(taus) == 1
+
+
+def _exact_origin_tv(k, t):
+    """TV_t of the origin row to the class-size law from Python-int powers of
+    the step matrix and one ``Fraction`` per class."""
+    row = np.eye(k.size, dtype=np.int64)[0].astype(object)
+    for _ in range(t):
+        row = row @ k.step_counts.astype(object)
+    scale, total = k.step_size ** t, int(k.sizes.sum())
+    return sum(max(Fraction(int(n), total) - Fraction(v, scale), 0)
+               for n, v in zip(k.sizes.tolist(), row.tolist()))
+
+
+def test_eps_beside_the_exact_tv_3_decides_tau(k13):
+    tv3 = _exact_origin_tv(k13, 3)
+    nearest = float(tv3)
+    assert mixing_time(k13, None, math.nextafter(nearest, 0.0)) == 4
+    assert mixing_time(k13, None, math.nextafter(nearest, 1.0)) == 3
+    # the float nearest to TV_3 lies on one side of it, and decides by that side
+    assert mixing_time(k13, None, nearest) == (3 if Fraction(nearest) >= tv3 else 4)
+    tau, curve = mixing_time(k13, None, nearest, return_curve=True)
+    assert curve == [float(_exact_origin_tv(k13, t)) for t in range(tau + 1)]
+
+
+@st.composite
+def _class_laws(draw):
+    """(w, sizes, scale): a law N w / S, uniform on each class, with
+    S = ``scale`` = r q^2 and q^2 the sum of the class sizes N.  It is made
+    from w = r, the class-size law, by moving mass between classes, so that
+    classes left alone sit exactly at the threshold q^2 w_j = S."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    r = draw(st.integers(1, 2000))
+    w = [r] * len(sizes)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = (draw(st.integers(0, len(w) - 1)) for _ in range(2))
+        x = draw(st.integers(0, w[i] // sizes[j]))  # N_j x from w_i, N_i x to w_j
+        w[i] -= sizes[j] * x
+        w[j] += sizes[i] * x
+    return w, sizes, r * sum(sizes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_class_laws())
+def test_integer_tv_equals_the_fraction_reference(law):
+    from conicwalk.walk_analysis import _tv_numerator
+
+    w, sizes, scale = law
+    total = sum(sizes)
+    want = sum(max(Fraction(n, total) - Fraction(n * x, scale), 0) for n, x in zip(sizes, w))
+    got = _tv_numerator(np.array(w, dtype=np.int64), np.array(sizes, dtype=np.int64), scale)
+    assert Fraction(got, total * scale) == want
+
+
+def _float_tau(k, eps):
+    """tau from the float64 origin row, vector-matrix products of ``k.mat``."""
+    probs = k.sizes / k.sizes.sum()
+    vec = np.eye(k.size)[0]
+    t = 0
+    while 0.5 * np.abs(vec - probs).sum() > eps:
+        vec = vec @ k.mat
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("q,p,d", admissible_prime_powers(3, 199),
+                         ids=[str(q) for q, _, _ in admissible_prime_powers(3, 199)])
+def test_exact_tau_equals_the_float_tau(q, p, d):
+    params = ConicParams(make_field(p, d), 1, 1)
+    steps = [None] + ([ClassIndex.isotropic(params.spec)] if params.split else [])
+    for s in steps:
+        k = kernel_for_step(params, s)
+        tau = mixing_time(k, None, EPS_REF)
+        assert k._exact_at(tau, q * q), s
+        assert tau == _float_tau(k, EPS_REF), s
+
+
+def test_tau_past_the_int64_guard_goes_on_in_float():
+    # q^2 N_s^t < 2^63 holds at GF(13) for t <= 15; tau(1e-12) = 44
+    params = ConicParams(make_prime_field(13), 1, 1)
+    k = kernel_for_step(params)
+    tau, curve = mixing_time(k, None, 1e-12, return_curve=True)
+    assert tau == 44 == _float_tau(k, 1e-12)
+    assert k._exact_at(15, 169) and not k._exact_at(16, 169)
+    assert curve[:16] == [float(_exact_origin_tv(k, t)) for t in range(16)]
+    assert curve == max_tv_curve(k, haar(params), 44)
 
 
 def test_mixing_time_bound_values():
